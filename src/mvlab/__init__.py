@@ -7,12 +7,13 @@ n-dimensional ball/sphere average analogues against harmonic fields.
 """
 
 from .calculus import (
-    HyperDual,
     Jet3,
     derivatives_1d,
     directional_derivative,
+    directional_derivative_many,
     gradient,
     laplacian,
+    laplacian_many,
 )
 from .exactpoly import (
     BivariatePolynomial,
@@ -46,9 +47,7 @@ from .integrate import (
     integrate_1d,
     mc_ball_average,
     mc_sphere_average,
-    sample_ball,
     sample_ball_many,
-    sample_sphere,
     sample_sphere_many,
     sphere_area,
 )

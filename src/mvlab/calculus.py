@@ -1,18 +1,22 @@
 """Forward-mode derivatives of parsed expressions.
 
 `Jet3` carries a value and its first three derivatives through arithmetic
-(truncated Taylor algebra); `HyperDual` carries two independent
-first-order perturbations and their mixed second-order term, which gives
-exact second partials one axis at a time.  Components may be floats or
-numpy arrays with elementwise semantics, so a whole grid of derivative
-evaluations costs a single tree walk.
+(truncated Taylor algebra).  Seeding the variables along a direction d
+(x_j -> Jet3(x_j, d_j, 0, 0)) turns one pass into the univariate jet of
+t -> g(x + t*d): d1 is the derivative along d and d2 the second
+derivative along it.  Axis seeds give partials and pure second partials
+(gradients, Laplacians); a unit seed v gives the directional derivative
+in a single pass.  Components may be floats or numpy arrays with
+elementwise semantics, so a whole grid of derivative evaluations costs a
+single tree walk per direction.
 
-`abs` is not differentiable at 0: both types raise a domain error when an
-`abs` argument is exactly 0 rather than silently picking a subgradient.
+`abs` is not differentiable at 0: jets raise a domain error when an `abs`
+argument is exactly 0 rather than silently picking a subgradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -23,24 +27,16 @@ from .expr import Node, _DomainViolation
 
 __all__ = [
     "Jet3",
-    "HyperDual",
     "derivatives_1d",
     "first_derivative_many",
     "gradient",
     "laplacian",
+    "laplacian_many",
     "directional_derivative",
+    "directional_derivative_many",
 ]
 
 _SCALARS = (int, float, np.floating)
-
-
-def _frac_pow_checks(t: Any, p: float) -> None:
-    if not p.is_integer():
-        if np.any(np.asarray(t) <= 0):
-            raise _DomainViolation("fractional power of a non-positive base")
-    elif p < 0:
-        if np.any(np.asarray(t) == 0):
-            raise _DomainViolation("zero raised to a negative power")
 
 
 def _pow_term(t: Any, coeff: float, q: float) -> Any:
@@ -217,7 +213,11 @@ class Jet3:
     def _pow_const(self, p: Any) -> "Jet3":
         p = float(p)
         t = self.f
-        _frac_pow_checks(t, p)
+        if not p.is_integer():
+            if np.any(np.asarray(t) <= 0):
+                raise _DomainViolation("fractional power of a non-positive base")
+        elif p < 0 and np.any(np.asarray(t) == 0):
+            raise _DomainViolation("zero raised to a negative power")
         return self._compose(
             t**p,
             _pow_term(t, p, p - 1.0),
@@ -226,185 +226,15 @@ class Jet3:
         )
 
 
-@dataclass(frozen=True)
-class HyperDual:
-    """Two first-order perturbations and their mixed second derivative.
-
-    Evaluating g(x + a*eps1 + b*eps2) yields d_ab = the a*b-weighted mixed
-    partial; seeding a = b = e_i gives the pure second partial d2g/dxi2.
-    """
-
-    f: Any
-    da: Any
-    db: Any
-    dab: Any
-
-    __array_ufunc__ = None
-
-    @staticmethod
-    def constant(c: Any) -> "HyperDual":
-        return HyperDual(c, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def seed(x: Any, a: float = 1.0, b: float = 1.0) -> "HyperDual":
-        return HyperDual(x, a, b, 0.0)
-
-    @staticmethod
-    def _lift(other: Any) -> "HyperDual | None":
-        if isinstance(other, HyperDual):
-            return other
-        if isinstance(other, _SCALARS) or isinstance(other, np.ndarray):
-            return HyperDual.constant(other)
-        return None
-
-    def __add__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return HyperDual(self.f + o.f, self.da + o.da, self.db + o.db, self.dab + o.dab)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "HyperDual":
-        return HyperDual(-self.f, -self.da, -self.db, -self.dab)
-
-    def __sub__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return HyperDual(self.f - o.f, self.da - o.da, self.db - o.db, self.dab - o.dab)
-
-    def __rsub__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return HyperDual(
-            self.f * o.f,
-            self.da * o.f + self.f * o.da,
-            self.db * o.f + self.f * o.db,
-            self.dab * o.f + self.da * o.db + self.db * o.da + self.f * o.dab,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
-
-    def _reciprocal(self) -> "HyperDual":
-        t = self.f
-        if np.any(np.asarray(t) == 0):
-            raise _DomainViolation("division by zero")
-        inv = 1.0 / t
-        return self._compose(inv, -inv * inv, 2.0 * inv**3)
-
-    def _compose(self, u0: Any, u1: Any, u2: Any) -> "HyperDual":
-        return HyperDual(
-            u0,
-            u1 * self.da,
-            u1 * self.db,
-            u1 * self.dab + u2 * self.da * self.db,
-        )
-
-    def sin(self) -> "HyperDual":
-        return self._compose(np.sin(self.f), np.cos(self.f), -np.sin(self.f))
-
-    def cos(self) -> "HyperDual":
-        return self._compose(np.cos(self.f), -np.sin(self.f), -np.cos(self.f))
-
-    def exp(self) -> "HyperDual":
-        e = np.exp(self.f)
-        return self._compose(e, e, e)
-
-    def log(self) -> "HyperDual":
-        t = self.f
-        if np.any(np.asarray(t) <= 0):
-            raise _DomainViolation("log of a non-positive argument")
-        inv = 1.0 / t
-        return self._compose(np.log(t), inv, -inv * inv)
-
-    def sqrt(self) -> "HyperDual":
-        t = self.f
-        if np.any(np.asarray(t) <= 0):
-            raise _DomainViolation(
-                "sqrt of a non-positive argument (derivative undefined at 0)"
-            )
-        r = np.sqrt(t)
-        return self._compose(r, 0.5 / r, -0.25 / (r * t))
-
-    def tanh(self) -> "HyperDual":
-        t = np.tanh(self.f)
-        s = 1.0 - t * t
-        return self._compose(t, s, -2.0 * t * s)
-
-    def abs(self) -> "HyperDual":
-        t = self.f
-        if np.any(np.asarray(t) == 0):
-            raise _DomainViolation("abs is not differentiable at 0")
-        return self._compose(np.abs(t), np.sign(t), 0.0)
-
-    def __pow__(self, other: Any) -> "HyperDual":
-        if isinstance(other, HyperDual):
-            if (
-                np.all(np.asarray(other.da) == 0)
-                and np.all(np.asarray(other.db) == 0)
-                and np.all(np.asarray(other.dab) == 0)
-            ):
-                return self._pow_const(other.f)
-            if np.any(np.asarray(self.f) <= 0):
-                raise _DomainViolation("power with varying exponent needs a positive base")
-            return (other * self.log()).exp()
-        if isinstance(other, _SCALARS):
-            return self._pow_const(other)
-        return NotImplemented
-
-    def __rpow__(self, other: Any) -> "HyperDual":
-        o = HyperDual._lift(other)
-        if o is None:
-            return NotImplemented
-        return o.__pow__(self)
-
-    def _pow_const(self, p: Any) -> "HyperDual":
-        p = float(p)
-        t = self.f
-        _frac_pow_checks(t, p)
-        return self._compose(
-            t**p,
-            _pow_term(t, p, p - 1.0),
-            _pow_term(t, p * (p - 1.0), p - 2.0),
-        )
 
 
 # ---------------------------------------------------------------------------
 # Derivative drivers
 
 
-def _sole_variable(f: Node) -> int | None:
-    used = expr.variables(f)
-    if len(used) > 1:
-        raise ValueError(f"expression is not univariate (uses {used})")
-    return used[0] if used else None
-
-
 def derivatives_1d(f: Node, x0: float) -> tuple[float, float, float, float]:
     """(f(x0), f'(x0), f''(x0), f'''(x0)) by one order-3 jet pass."""
-    index = _sole_variable(f)
-    env = {} if index is None else {index: Jet3.variable(float(x0))}
-    out = eval_jet(f, env)
+    out = eval_jet(f, {expr.sole_variable(f) or 1: Jet3.variable(float(x0))})
     return (float(out.f), float(out.d1), float(out.d2), float(out.d3))
 
 
@@ -418,11 +248,12 @@ def eval_jet(f: Node, env: dict[int, Any]) -> Jet3:
 def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
     """f'(x) at every x in `xs`, computed in a single array-valued pass."""
     xs = np.asarray(xs, dtype=float)
-    index = _sole_variable(f)
-    if index is None:
-        return np.zeros_like(xs)
-    out = eval_jet(f, {index: Jet3.variable(xs)})
-    return np.broadcast_to(np.asarray(out.d1, dtype=float), xs.shape).copy()
+    return _per_point(eval_jet(f, {expr.sole_variable(f) or 1: Jet3.variable(xs)}).d1, xs)
+
+
+def _per_point(x: Any, like: np.ndarray) -> np.ndarray:
+    # a result that ignores the array-valued variables is a scalar: spread it
+    return np.broadcast_to(np.asarray(x, dtype=float), like.shape).copy()
 
 
 def _check_dimension(g: Node, n: int) -> None:
@@ -433,34 +264,81 @@ def _check_dimension(g: Node, n: int) -> None:
         raise ValueError(f"expression uses x{used[-1]} but dimension is {n}")
 
 
-def _axis_pass(g: Node, point: Sequence[float], axis: int) -> HyperDual:
-    env: dict[int, Any] = {j + 1: float(point[j]) for j in range(len(point))}
-    env[axis + 1] = HyperDual.seed(float(point[axis]))
-    out = expr.eval_with(g, env)
-    if not isinstance(out, HyperDual):
-        out = HyperDual.constant(out)
+def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float]) -> Jet3:
+    """Jet of t -> g(coords + t*direction) at t = 0: d1 and d2 are the
+    first and second derivatives of g along `direction`.  Variables with a
+    zero direction component stay plain floats or arrays on the checked
+    real path.  A non-finite value or derivative is a domain error."""
+    env = {j + 1: x if d == 0 else Jet3(x, d, 0.0, 0.0)
+           for j, (x, d) in enumerate(zip(coords, direction))}
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        out = eval_jet(g, env)
+    if not (_finite(out.f) and _finite(out.d1) and _finite(out.d2)):
+        raise expr.DomainError(g, "non-finite value or derivative")
     return out
 
 
+def _finite(x: Any) -> bool:
+    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else math.isfinite(x)
+
+
+def _axis(n: int, i: int) -> tuple[float, ...]:
+    return tuple(float(j == i) for j in range(n))
+
+
+def _columns(points: Any) -> list[np.ndarray]:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must have shape (count, dim)")
+    return list(pts.T)
+
+
+def _laplacian_pass(g: Node, coords: Sequence[Any]) -> tuple[Any, Any]:
+    # (g, sum of pure second partials): one jet pass per axis
+    n = len(coords)
+    _check_dimension(g, n)
+    passes = [_seeded_pass(g, coords, _axis(n, i)) for i in range(n)]
+    return passes[0].f, sum(p.d2 for p in passes)
+
+
+def _directional_pass(g: Node, coords: Sequence[Any], v: Sequence[float]) -> Any:
+    if len(v) != len(coords):
+        raise ValueError("direction and point dimensions differ")
+    norm = float(np.linalg.norm(np.asarray(v, dtype=float)))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"v must be a unit vector (|v| = {norm!r})")
+    _check_dimension(g, len(coords))
+    return _seeded_pass(g, coords, [float(c) for c in v]).d1
+
+
 def gradient(g: Node, point: Sequence[float]) -> list[float]:
-    """Vector of first partials of g at `point` (dimension = len(point))."""
-    _check_dimension(g, len(point))
-    return [float(_axis_pass(g, point, i).da) for i in range(len(point))]
+    """Vector of first partials of g at `point`, one jet pass per axis."""
+    n = len(point)
+    _check_dimension(g, n)
+    coords = [float(x) for x in point]
+    return [float(_seeded_pass(g, coords, _axis(n, i)).d1) for i in range(n)]
 
 
 def laplacian(g: Node, point: Sequence[float]) -> float:
-    """Sum of pure second partials at `point`, one hyper-dual pass per axis."""
-    _check_dimension(g, len(point))
-    return float(sum(_axis_pass(g, point, i).dab for i in range(len(point))))
+    """Sum of pure second partials at `point`, one jet pass per axis."""
+    return float(_laplacian_pass(g, [float(x) for x in point])[1])
+
+
+def laplacian_many(g: Node, points: Any) -> tuple[np.ndarray, np.ndarray]:
+    """(g, Laplacian of g) at every row of `points`, shape (count, dim),
+    from one array-valued jet pass per axis."""
+    coords = _columns(points)
+    value, total = _laplacian_pass(g, coords)
+    return _per_point(value, coords[0]), _per_point(total, coords[0])
 
 
 def directional_derivative(g: Node, point: Sequence[float], v: Sequence[float]) -> float:
-    """Gradient dotted with the unit vector v."""
-    v = np.asarray(v, dtype=float)
-    if len(v) != len(point):
-        raise ValueError("direction and point dimensions differ")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"v must be a unit vector (|v| = {norm!r})")
-    grad = gradient(g, point)
-    return float(sum(gi * vi for gi, vi in zip(grad, v)))
+    """Derivative of g along the unit vector v, one jet pass seeded along v."""
+    return float(_directional_pass(g, [float(x) for x in point], v))
+
+
+def directional_derivative_many(g: Node, points: Any, v: Sequence[float]) -> np.ndarray:
+    """Derivative of g along the unit vector v at every row of `points`,
+    shape (count, dim), from one array-valued jet pass."""
+    coords = _columns(points)
+    return _per_point(_directional_pass(g, coords, v), coords[0])

@@ -56,6 +56,7 @@ __all__ = [
     "eval_with",
     "print_canonical",
     "variables",
+    "sole_variable",
     "neg",
 ]
 
@@ -187,6 +188,15 @@ def variables(ast: Node) -> tuple[int, ...]:
 
     walk(ast)
     return tuple(sorted(found))
+
+
+def sole_variable(ast: Node) -> int | None:
+    """Index of the one variable a univariate `ast` uses, or None when it
+    uses none.  Raises ValueError when it uses more than one."""
+    used = variables(ast)
+    if len(used) > 1:
+        raise ValueError(f"expression is not univariate (uses {used})")
+    return used[0] if used else None
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +401,8 @@ def print_canonical(ast: Node) -> str:
 #
 # One tree walker serves every numeric carrier type: plain floats (checked
 # scalar math), numpy arrays (vectorized, checked with np.any), and the
-# forward-mode types from mvlab.calculus, which implement the arithmetic
-# dunders plus sin/cos/exp/log/sqrt/tanh/abs methods and raise
+# forward-mode Jet3 from mvlab.calculus, which implements the arithmetic
+# dunders plus sin/cos/exp/log/sqrt/tanh/abs methods and raises
 # _DomainViolation on domain faults.
 
 _REAL_TYPES = (int, float, np.floating)

@@ -36,9 +36,7 @@ __all__ = [
     "integrate_1d",
     "ball_volume",
     "sphere_area",
-    "sample_ball",
     "sample_ball_many",
-    "sample_sphere",
     "sample_sphere_many",
     "mc_ball_average",
     "mc_sphere_average",
@@ -154,11 +152,8 @@ Integrand = Union[Node, Callable[[np.ndarray], np.ndarray]]
 
 def _integrand_values(f: Integrand, points: np.ndarray) -> np.ndarray:
     if isinstance(f, (expr.Num, expr.Var, expr.Neg, expr.BinOp, expr.Call)):
-        used = expr.variables(f)
-        if len(used) > 1:
-            raise ValueError(f"integrand is not univariate (uses {used})")
-        index = used[0] if used else 1
-        return expr.eval_many(f, {index: points})
+        # a constant integrand still binds x1 so eval_many returns an array
+        return expr.eval_many(f, {expr.sole_variable(f) or 1: points})
     return np.asarray(f(points), dtype=float)
 
 
@@ -247,16 +242,6 @@ def sample_sphere_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarra
     """`count` points uniform on the bounding sphere, shape (count, dim)."""
     dirs = _directions(rng, count, spec.dim)
     return np.asarray(spec.center) + spec.radius * dirs
-
-
-def sample_ball(spec: BallSpec, rng: CounterRng) -> tuple[float, ...]:
-    """One point uniform in the ball."""
-    return tuple(float(v) for v in sample_ball_many(spec, rng, 1)[0])
-
-
-def sample_sphere(spec: BallSpec, rng: CounterRng) -> tuple[float, ...]:
-    """One point uniform on the sphere."""
-    return tuple(float(v) for v in sample_sphere_many(spec, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import calculus, expr, integrate
+from . import calculus, expr, integrate, mvroot
 from .expr import Node
 from .integrate import BallSpec, CounterRng, mix64
 from .mvroot import Interval
@@ -159,21 +159,12 @@ def check_weighted_property(
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     rec = _Recorder(f"weighted-mean-value(lambda={lam!r})", tol, seed)
     for a, b in _sample_intervals(domain, trials, seed):
-        slope = (expr.evaluate(f, _bind1(f, b)) - expr.evaluate(f, _bind1(f, a))) / (
-            b - a
-        )
+        slope = mvroot.average_slope(f, Interval(a, b))
         c = lam * a + (1.0 - lam) * b
         deriv = calculus.derivatives_1d(f, c)[1]
         residual = abs(slope - deriv) / (1.0 + abs(slope))
         rec.record(residual, {"a": a, "b": b}, residual > tol)
     return rec.verdict()
-
-
-def _bind1(f: Node, x: float) -> dict[int, float]:
-    used = expr.variables(f)
-    if len(used) > 1:
-        raise ValueError(f"expression is not univariate (uses {used})")
-    return {used[0]: x} if used else {}
 
 
 def check_interval_mvp(
@@ -330,18 +321,12 @@ def check_sphere_mvp(
     )
 
 
-def _sample_points(
-    box: Any, n: int, count: int, seed: int
-) -> list[tuple[float, ...]]:
-    ranges = _as_box(box, n)
-    rng = CounterRng(seed)
-    pts = []
-    for _ in range(count):
-        us = rng.uniforms(n)
-        pts.append(
-            tuple(lo + float(u) * (hi - lo) for u, (lo, hi) in zip(us, ranges))
-        )
-    return pts
+def _sample_points(box: Any, n: int, count: int, seed: int) -> np.ndarray:
+    """`count` seeded points uniform in `box`, shape (count, n)."""
+    if count < 1:
+        raise ValueError("need points >= 1")
+    lo, hi = np.array(_as_box(box, n)).T
+    return lo + CounterRng(seed).uniforms(count * n).reshape(count, n) * (hi - lo)
 
 
 def check_harmonicity(
@@ -354,16 +339,11 @@ def check_harmonicity(
 ) -> PropertyVerdict:
     """Is the sum of second partials of g zero at random points of `box`?
     Violation when |laplacian| > tol * (1 + |g|)."""
-    if points < 1:
-        raise ValueError("need points >= 1")
     rec = _Recorder("harmonicity", tol, seed)
-    for pt in _sample_points(box, n, points, seed):
-        delta = calculus.laplacian(g, pt)
-        value = expr.evaluate(g, {i + 1: pt[i] for i in range(n)})
-        residual = abs(delta)
-        rec.record(
-            residual, {"point": list(pt)}, residual > tol * (1.0 + abs(value))
-        )
+    pts = _sample_points(box, n, points, seed)
+    values, deltas = calculus.laplacian_many(g, pts)
+    for pt, value, delta in zip(pts.tolist(), values.tolist(), deltas.tolist()):
+        rec.record(abs(delta), {"point": pt}, abs(delta) > tol * (1.0 + abs(value)))
     return rec.verdict()
 
 
@@ -378,12 +358,11 @@ def check_v_constancy(
 ) -> PropertyVerdict:
     """Is the directional derivative of g along the unit vector v zero at
     random points of `box`?"""
-    if points < 1:
-        raise ValueError("need points >= 1")
     rec = _Recorder("v-constancy", tol, seed)
-    for pt in _sample_points(box, n, points, seed):
-        residual = abs(calculus.directional_derivative(g, pt, v))
-        rec.record(residual, {"point": list(pt)}, residual > tol)
+    pts = _sample_points(box, n, points, seed)
+    derivs = calculus.directional_derivative_many(g, pts, v)
+    for pt, deriv in zip(pts.tolist(), derivs.tolist()):
+        rec.record(abs(deriv), {"point": pt}, abs(deriv) > tol)
     return rec.verdict()
 
 

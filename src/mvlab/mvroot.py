@@ -68,16 +68,10 @@ class AbscissaResult:
 
 def average_slope(f: Node, iv: Interval) -> float:
     """(f(b) - f(a)) / (b - a)."""
-    fa = expr.evaluate(f, _bind(f, iv.a))
-    fb = expr.evaluate(f, _bind(f, iv.b))
+    x = expr.sole_variable(f) or 1  # a constant f ignores its binding
+    fa = expr.evaluate(f, {x: iv.a})
+    fb = expr.evaluate(f, {x: iv.b})
     return (fb - fa) / iv.width
-
-
-def _bind(f: Node, x: float) -> dict[int, float]:
-    used = expr.variables(f)
-    if len(used) > 1:
-        raise ValueError(f"expression is not univariate (uses {used})")
-    return {used[0]: x} if used else {}
 
 
 def lambda_of(c: float, iv: Interval) -> float:

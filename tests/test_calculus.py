@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SMOOTH_CORPUS, fd_derivatives
 from mvlab import calculus, expr, mvp
-from mvlab.calculus import HyperDual, Jet3
+from mvlab.calculus import Jet3
 from mvlab.expr import DomainError
 from mvlab.integrate import CounterRng
 
@@ -107,34 +107,6 @@ def test_first_derivative_many_matches_scalar():
         assert block[i] == pytest.approx(calculus.derivatives_1d(ast, float(x))[1], rel=1e-14)
 
 
-class TestHyperDual:
-    def test_second_partial_vs_fd(self):
-        g = expr.parse("exp(x*y) + x^2*y")
-        x0, y0 = 0.7, -0.4
-        out = calculus._axis_pass(g, (x0, y0), 0)
-        h = 1e-5
-
-        def f(x):
-            return math.exp(x * y0) + x * x * y0
-
-        fd2 = (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
-        assert abs(out.dab - fd2) <= 1e-5 * (1 + abs(out.dab))
-        fd1 = (f(x0 + h) - f(x0 - h)) / (2 * h)
-        assert abs(out.da - fd1) <= 1e-8 * (1 + abs(out.da))
-
-    def test_mixed_perturbations(self):
-        # g(x) = x^2 with seeds a=2, b=3: d_ab = 2*a*b = 12
-        out = HyperDual.seed(1.0, 2.0, 3.0) ** 2
-        assert out.dab == 12.0
-
-    def test_division_matches_jet(self):
-        x0 = 1.3
-        hd = 1.0 / HyperDual.seed(x0)
-        jet = 1.0 / Jet3.variable(x0)
-        assert hd.da == pytest.approx(jet.d1, rel=1e-15)
-        assert hd.dab == pytest.approx(jet.d2, rel=1e-15)
-
-
 class TestGradient:
     def test_polynomial_partials(self):
         assert calculus.gradient(expr.parse("x^2 - y^2"), (1.0, 2.0)) == [2.0, -4.0]
@@ -159,6 +131,30 @@ class TestLaplacian:
 
     def test_radial_square_3d(self):
         assert calculus.laplacian(expr.parse("x^2 + y^2 + z^2"), (0.1, 0.2, 0.3)) == 6.0
+
+    def test_second_partial_vs_fd(self):
+        # exp(x*y0) + x^2*y0 varies in x only: its Laplacian is its x-x partial
+        y0 = -0.4
+        g = expr.parse(f"exp(x*({y0!r})) + x^2*({y0!r})")
+        x0 = 0.7
+        h = 1e-5
+
+        def f(x):
+            return math.exp(x * y0) + x * x * y0
+
+        fd2 = (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
+        lap = calculus.laplacian(g, (x0, 0.3))
+        assert abs(lap - fd2) <= 1e-5 * (1 + abs(lap))
+        fd1 = (f(x0 + h) - f(x0 - h)) / (2 * h)
+        dx = calculus.gradient(g, (x0, 0.3))[0]
+        assert abs(dx - fd1) <= 1e-8 * (1 + abs(dx))
+
+    def test_non_finite_is_domain_error(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            calculus.laplacian(expr.parse("exp(700*x)"), (1.9,))
+        with pytest.raises(DomainError, match="non-finite"):
+            calculus.laplacian_many(expr.parse("exp(700*x) - exp(700*x) + y"),
+                                    [(1.5, 0.0), (1.9, 0.0)])
 
     def test_builtin_harmonics_vanish(self):
         rng = CounterRng(2024)
@@ -192,3 +188,74 @@ class TestDirectionalDerivative:
         s = 1.0 / math.sqrt(2.0)
         got = calculus.directional_derivative(expr.parse("x^2 - y^2"), (1.0, 2.0), (s, s))
         assert got == pytest.approx((2.0 - 4.0) * s, rel=1e-15)
+
+    def test_one_pass_equals_gradient_dot_v(self):
+        v = (0.6, 0.8)
+        for source in ("x^2 - y^2", "exp(x)*cos(y)", "sin(x*y) + log(2 + x^2)"):
+            g = expr.parse(source)
+            for pt in ((1.0, 2.0), (-0.3, 0.7), (1.9, -1.1)):
+                terms = [gi * vi for gi, vi in zip(calculus.gradient(g, pt), v)]
+                got = calculus.directional_derivative(g, pt, v)
+                # relative to the terms: their sum may cancel
+                scale = sum(abs(t) for t in terms)
+                assert abs(got - sum(terms)) <= 1e-15 * scale, (source, pt)
+
+    def test_ignores_axes_off_v(self):
+        # abs is not differentiable at x = 0, but v never moves x
+        g = expr.parse("abs(x) + y")
+        assert calculus.directional_derivative(g, (0.0, 1.0), (0.0, 1.0)) == 1.0
+
+    def test_non_finite_is_domain_error(self):
+        g = expr.parse("exp(700*x) - exp(700*x)")
+        with pytest.raises(DomainError, match="non-finite"):
+            calculus.directional_derivative(g, (1.9,), (1.0,))
+        with pytest.raises(DomainError, match="non-finite"):
+            calculus.directional_derivative_many(g, [(1.5, 0.0), (1.9, 0.0)], (1.0, 0.0))
+
+
+class TestManyPasses:
+    FIELDS = ("exp(x)*cos(y) + x*z^2", "sqrt(1 + x^2 + y^2) - log(3 + z)", "7", "y")
+
+    def _points(self, count, n=3):
+        rng = CounterRng(99)
+        return [tuple(-1.5 + 3.0 * u for u in rng.uniforms(n)) for _ in range(count)]
+
+    def test_laplacian_many_matches_scalar(self):
+        pts = self._points(40)
+        for source in self.FIELDS:
+            g = expr.parse(source)
+            values, deltas = calculus.laplacian_many(g, pts)
+            assert values.shape == deltas.shape == (40,)
+            for pt, value, delta in zip(pts, values, deltas):
+                want = calculus.laplacian(g, pt)
+                assert abs(delta - want) <= 1e-15 * (1 + abs(want)), (source, pt)
+                assert value == pytest.approx(expr.evaluate(g, dict(enumerate(pt, 1))), rel=1e-15)
+
+    def test_directional_derivative_many_matches_scalar(self):
+        pts = self._points(40)
+        v = (0.48, 0.6, 0.64)
+        for source in self.FIELDS:
+            g = expr.parse(source)
+            got = calculus.directional_derivative_many(g, pts, v)
+            assert got.shape == (40,)
+            for pt, deriv in zip(pts, got):
+                want = calculus.directional_derivative(g, pt, v)
+                assert abs(deriv - want) <= 1e-15 * (1 + abs(want)), (source, pt)
+
+    def test_checker_residuals_match_scalar(self):
+        box = (-1.5, 1.5)
+        v = (0.0, 0.6, 0.8)
+        for source in self.FIELDS:
+            g = expr.parse(source)
+            harm = mvp.check_harmonicity(g, 3, 30, box, 17, tol=1e300)
+            vconst = mvp.check_v_constancy(g, v, 3, 30, box, 17, tol=1e300)
+            pts = mvp._sample_points(box, 3, 30, 17)
+            for pt, r_h, r_v in zip(pts, harm.trial_residuals, vconst.trial_residuals):
+                want_h = abs(calculus.laplacian(g, pt))
+                want_v = abs(calculus.directional_derivative(g, pt, v))
+                assert abs(r_h - want_h) <= 1e-15 * (1 + abs(want_h)), (source, pt)
+                assert abs(r_v - want_v) <= 1e-15 * (1 + abs(want_v)), (source, pt)
+
+    def test_points_must_be_rows(self):
+        with pytest.raises(ValueError, match="shape"):
+            calculus.laplacian_many(expr.parse("x"), [1.0, 2.0])

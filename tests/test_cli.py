@@ -151,6 +151,22 @@ class TestCheckers:
         assert code == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ("laplacian", "--fn", "exp(700*x)", "--dim", "1", "--at", "1.9"),
+        ("vderiv", "--fn", "exp(700*x)-exp(700*x)", "--dim", "1", "--v", "1",
+         "--at", "1.9"),
+        ("laplacian", "--fn", "exp(700*x)-exp(700*x)+y", "--dim", "2",
+         "--points", "5", "--box", "1.5,2"),
+        ("vderiv", "--fn", "exp(700*x)-exp(700*x)", "--dim", "2", "--v", "1,0",
+         "--points", "5", "--box", "1.5,2"),
+    ])
+    def test_overflow_is_numeric_failure(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
+
 class TestLambdaFamily:
     def test_k2(self, capsys):
         code, out, _ = run(capsys, "lambda-family", "--k", "2")

@@ -284,3 +284,15 @@ class TestEvalMany:
         ast = expr.parse("x^2 - y^2")
         out = expr.eval_many(ast, {"x": np.array([1.0, 2.0]), "y": np.array([2.0, 1.0])})
         assert list(out) == [-3.0, 3.0]
+
+
+class TestSoleVariable:
+    def test_univariate(self):
+        assert expr.sole_variable(expr.parse("sin(x3) + x3^2")) == 3
+
+    def test_constant(self):
+        assert expr.sole_variable(expr.parse("2 + pi")) is None
+
+    def test_multivariate_rejected(self):
+        with pytest.raises(ValueError, match="not univariate"):
+            expr.sole_variable(expr.parse("x + y"))

@@ -16,9 +16,7 @@ from mvlab.integrate import (
     mc_ball_average,
     mc_sphere_average,
     mix64,
-    sample_ball,
     sample_ball_many,
-    sample_sphere,
     sample_sphere_many,
     sphere_area,
 )
@@ -170,7 +168,7 @@ class TestSampleBall:
         assert abs(inside.mean() - p) <= 4.0 * stderr
 
     def test_single_point(self):
-        pt = sample_ball(BallSpec((0.0, 0.0), 1.0), CounterRng(0))
+        pt = sample_ball_many(BallSpec((0.0, 0.0), 1.0), CounterRng(0), 1)[0]
         assert len(pt) == 2 and math.hypot(*pt) <= 1.0
 
     def test_one_dimensional(self):
@@ -203,7 +201,7 @@ class TestSampleSphere:
         assert stat < 1.628 / math.sqrt(len(angles))  # 1% critical value
 
     def test_single_point(self):
-        pt = sample_sphere(BallSpec((0.0, 0.0), 2.0), CounterRng(1))
+        pt = sample_sphere_many(BallSpec((0.0, 0.0), 2.0), CounterRng(1), 1)[0]
         assert math.hypot(*pt) == pytest.approx(2.0, rel=1e-12)
 
 
