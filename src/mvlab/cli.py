@@ -187,35 +187,26 @@ def _cmd_check_interval(args: argparse.Namespace) -> int:
     return _verdict_exit(verdict, args.out)
 
 
-def _weight_spec(args: argparse.Namespace) -> mvp.WeightSpec:
-    return mvp.WeightSpec(float(args.lam), args.v)
-
-
-def _cmd_ball_check(args: argparse.Namespace) -> int:
+def _cmd_offset_check(args: argparse.Namespace) -> int:
     g = expr.parse(args.fn)
-    verdict = mvp.check_ball_mvp(
-        g, _weight_spec(args), args.trials, args.box, args.samples, args.seed,
-        args.dim, tol=args.tol, radius_range=(args.hmin, args.hmax),
-        threads=args.threads,
+    verdict = args.checker(
+        g, mvp.WeightSpec(float(args.lam), args.v), args.trials, args.box,
+        args.samples, args.seed, args.dim, tol=args.tol,
+        radius_range=(args.hmin, args.hmax), threads=args.threads,
     )
     return _verdict_exit(verdict, args.out)
 
 
-def _cmd_sphere_check(args: argparse.Namespace) -> int:
-    g = expr.parse(args.fn)
-    verdict = mvp.check_sphere_mvp(
-        g, _weight_spec(args), args.trials, args.box, args.samples, args.seed,
-        args.dim, tol=args.tol, radius_range=(args.hmin, args.hmax),
-        threads=args.threads,
-    )
-    return _verdict_exit(verdict, args.out)
+def _one_point(args: argparse.Namespace) -> bool:
+    """Whether --at asks for a single point; checks its coordinate count."""
+    if args.at is not None and len(args.at) != args.dim:
+        raise ValueError(f"--at needs {args.dim} coordinates")
+    return args.at is not None
 
 
 def _cmd_laplacian(args: argparse.Namespace) -> int:
     g = expr.parse(args.fn)
-    if args.at is not None:
-        if len(args.at) != args.dim:
-            raise ValueError(f"--at needs {args.dim} coordinates")
+    if _one_point(args):
         payload = {
             "function": args.fn,
             "point": list(args.at),
@@ -231,11 +222,7 @@ def _cmd_laplacian(args: argparse.Namespace) -> int:
 
 def _cmd_vderiv(args: argparse.Namespace) -> int:
     g = expr.parse(args.fn)
-    if args.v is None:
-        raise ValueError("--v is required")
-    if args.at is not None:
-        if len(args.at) != args.dim:
-            raise ValueError(f"--at needs {args.dim} coordinates")
+    if _one_point(args):
         payload = {
             "function": args.fn,
             "point": list(args.at),
@@ -385,9 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_lambda_family)
 
-    for name, handler, what in (
-        ("ball-check", _cmd_ball_check, "solid ball average"),
-        ("sphere-check", _cmd_sphere_check, "boundary sphere average"),
+    # checkers are looked up per parser build, so wrappers installed on
+    # mvp (profilers, tracers) see CLI calls
+    for name, checker, what in (
+        ("ball-check", mvp.check_ball_mvp, "solid ball average"),
+        ("sphere-check", mvp.check_sphere_mvp, "boundary sphere average"),
     ):
         p = _subparser(sub, name, (
                 f"test g(x + (1-2*lambda)*h*v) = {what} of g over B_h(x) "
@@ -406,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hmin", type=float, default=0.2, help="smallest radius")
         p.add_argument("--hmax", type=float, default=1.0, help="largest radius")
         p.add_argument("--threads", type=int, default=1,
-                       help="sampling threads (1 keeps estimates bit-exact)")
+                       help="sampling threads (the output never depends on it)")
         _add_randomized(p, tol=1e-9)
         _add_common(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_offset_check, checker=checker)
 
     p = _subparser(sub, "laplacian", "check sum of second partials of g = 0 at random points, or evaluate it at --at",
     )

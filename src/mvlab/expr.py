@@ -554,17 +554,24 @@ def _normalize_bindings(bindings: Mapping[Any, Any]) -> dict[int, Any]:
 def evaluate(ast: Node, bindings: Mapping[Any, Any] | None = None) -> float:
     """Evaluate `ast` at the given variable bindings (keys may be names
     like "x", "x2" or 1-based indices).  Standard real semantics; raises
-    UnboundVariableError or DomainError."""
+    UnboundVariableError or DomainError (also for an inf or NaN result)."""
     env = _normalize_bindings(bindings or {})
-    return float(eval_with(ast, {k: float(v) for k, v in env.items()}))
+    value = float(eval_with(ast, {k: float(v) for k, v in env.items()}))
+    if not math.isfinite(value):
+        raise DomainError(ast, "non-finite value")
+    return value
 
 
 def eval_many(ast: Node, bindings: Mapping[Any, Iterable[float]]) -> np.ndarray:
     """Vectorized evaluation over numpy arrays of binding values.  All
-    arrays must share a shape; a constant expression broadcasts to it."""
+    arrays must share a shape; a constant expression broadcasts to it.
+    An inf or NaN anywhere in the result raises DomainError."""
     env = {k: np.asarray(v, dtype=float) for k, v in _normalize_bindings(bindings).items()}
     shape = next(iter(env.values())).shape if env else ()
-    out = eval_with(ast, env)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = eval_with(ast, env)
+    if not np.isfinite(out).all():
+        raise DomainError(ast, "non-finite value")
     if not isinstance(out, np.ndarray) or out.shape != shape:
         out = np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
     return out

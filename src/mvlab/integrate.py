@@ -3,10 +3,10 @@
 Randomness comes from a 64-bit counter-based generator: draw i of a
 stream with seed s is mix64(s + (i+1) * GOLDEN), where mix64 is the
 splitmix64 finalizer.  Outputs are pure functions of (seed, counter), so
-a sequential run is bit-reproducible and parallel chunks can split the
-stream safely: chunk i of a parallel evaluation re-seeds with
-mix64(seed + (i+1) * GOLDEN).  Sequential and chunk-parallel estimates
-agree statistically (within a few standard errors), not bitwise.
+a Monte Carlo average divides its samples into chunks that read
+consecutive counter ranges of one stream: chunk i starts at the counter
+where chunk i-1 stopped.  The thread count only decides how many chunks
+run at once, so every thread count gives the same bits.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
@@ -16,6 +16,7 @@ points, which the interval checkers in mvlab.mvp already cover.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ class CounterRng:
     """Counter-based uniform/Gaussian stream, addressable and splittable.
 
     Every output is a pure function of (seed, counter); `split(i)` derives
-    an independent stream for chunk i via mix64(seed + (i+1)*GOLDEN).
+    an independent stream i via mix64(seed + (i+1)*GOLDEN).
     """
 
     def __init__(self, seed: int, counter: int = 0):
@@ -244,6 +245,11 @@ def sample_sphere_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarra
     return np.asarray(spec.center) + spec.radius * dirs
 
 
+def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
+    """Counters sample_{ball,sphere}_many use: Box-Muller pairs, radii."""
+    return 2 * ((count * dim + 1) // 2) + (0 if on_sphere else count)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo averages
 
@@ -251,16 +257,14 @@ _CHUNK = 1 << 19
 
 
 def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
-    bindings = {i + 1: points[:, i] for i in range(points.shape[1])}
     try:
-        return expr.eval_many(g, bindings)
+        return expr.eval_many(g, dict(enumerate(points.T, start=1)))
     except expr.DomainError as err:
-        for row in points:  # locate the first offending sample for the report
-            try:
-                expr.eval_many(g, {i + 1: row[i : i + 1] for i in range(len(row))})
-            except expr.DomainError as cause:
-                raise McDomainError(tuple(float(v) for v in row), cause) from None
-        raise McDomainError(tuple(float(v) for v in points[0]), err) from None
+        if len(points) > 1:  # checks are elementwise: halve to the first bad row
+            half = len(points) // 2
+            _eval_at_points(g, points[:half])
+            _eval_at_points(g, points[half:])
+        raise McDomainError(tuple(points[0].tolist()), err) from None
 
 
 def _chunk_moments(
@@ -299,22 +303,20 @@ def _mc_average(
         raise ValueError(f"integrand uses x{used[-1]} but the ball is {spec.dim}-dimensional")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    counts = [min(_CHUNK, samples - s) for s in range(0, samples, _CHUNK)]
-    if threads <= 1:
-        rng = CounterRng(seed)
-        results = [_chunk_moments(g, spec, rng, c, on_sphere) for c in counts]
+    stride = _counters_used(_CHUNK, spec.dim, on_sphere)
+
+    def chunk(first: int) -> tuple[int, float, float]:
+        rng = CounterRng(seed, first // _CHUNK * stride)
+        return _chunk_moments(g, spec, rng, min(_CHUNK, samples - first), on_sphere)
+
+    firsts = range(0, samples, _CHUNK)
+    workers = min(threads, len(firsts))
+    if workers <= 1:
+        results = list(map(chunk, firsts))
     else:
-        master = CounterRng(seed)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_chunk_moments, g, spec, master.split(i), c, on_sphere)
-                for i, c in enumerate(counts)
-            ]
-            results = [f.result() for f in futures]  # merge in chunk order
-    total = results[0]
-    for part in results[1:]:
-        total = _merge_moments(total, part)
-    n, mean, m2 = total
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(chunk, firsts))
+    n, mean, m2 = functools.reduce(_merge_moments, results)
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return McEstimate(mean, stderr, n, seed)
 
@@ -324,9 +326,8 @@ def mc_ball_average(
 ) -> McEstimate:
     """Monte Carlo estimate of the average of g over the ball.
 
-    Sequential runs (threads=1) with identical arguments are
-    bit-reproducible; threads > 1 uses split streams per chunk and agrees
-    within a few standard errors.
+    Identical (g, spec, samples, seed) give identical bits at any thread
+    count: `threads` only sets how many sample chunks run at once.
     """
     return _mc_average(g, spec, samples, seed, on_sphere=False, threads=threads)
 

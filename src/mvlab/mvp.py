@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calculus, expr, integrate, mvroot
 from .expr import Node
-from .integrate import BallSpec, CounterRng, mix64
+from .integrate import BallSpec, CounterRng
 from .mvroot import Interval
 
 __all__ = [
@@ -132,15 +132,11 @@ def _sample_intervals(
 ) -> list[tuple[float, float]]:
     """Seeded random subintervals of `domain`, separated by >= width/100
     so secant slopes stay clear of catastrophic cancellation."""
-    rng = CounterRng(seed)
+    u1, u2 = CounterRng(seed).uniforms(2 * trials).reshape(trials, 2).T
     gap = domain.width / 100.0
-    out = []
-    for _ in range(trials):
-        u1, u2 = rng.uniforms(2)
-        a = domain.a + u1 * (domain.width - gap)
-        b = a + gap + u2 * (domain.b - a - gap)
-        out.append((float(a), float(b)))
-    return out
+    a = domain.a + u1 * (domain.width - gap)
+    b = a + gap + u2 * (domain.b - a - gap)
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def check_weighted_property(
@@ -252,23 +248,22 @@ def _check_offset_average(
 
     rec = _Recorder(name, tol, seed)
     rng = CounterRng(seed)
-    for t in range(trials):
-        coords = rng.uniforms(n)
-        center = tuple(
-            lo + float(u) * (hi - lo) for u, (lo, hi) in zip(coords, ranges)
-        )
-        h = h_lo + float(rng.uniforms(1)[0]) * (h_hi - h_lo)
+    draws = rng.uniforms(trials * (n + 1)).reshape(trials, n + 1)
+    lo, hi = np.array(ranges).T
+    centers = (lo + draws[:, :n] * (hi - lo)).tolist()
+    radii = (h_lo + draws[:, n] * (h_hi - h_lo)).tolist()
+    for t, (center, h) in enumerate(zip(centers, radii)):
         offset = (1.0 - 2.0 * w.lam) * h
         probe = tuple(c + offset * vi for c, vi in zip(center, v))
         spec = BallSpec(center, h, n)
-        est = average(g, spec, samples, mix64(seed + (t + 1) * integrate.GOLDEN), threads)
+        est = average(g, spec, samples, rng.split(t).seed, threads)
         lhs = expr.evaluate(g, {i + 1: probe[i] for i in range(n)})
         residual = abs(lhs - est.estimate)
         allowed = max(tol, 4.0 * est.stderr)
         rec.record(
             residual,
             {
-                "center": list(center),
+                "center": center,
                 "h": h,
                 "stderr": est.stderr,
                 "allowed": allowed,

@@ -159,6 +159,9 @@ class TestCheckers:
          "--points", "5", "--box", "1.5,2"),
         ("vderiv", "--fn", "exp(700*x)-exp(700*x)", "--dim", "2", "--v", "1,0",
          "--points", "5", "--box", "1.5,2"),
+        ("ball-check", "--fn", "exp(700*x)-exp(700*x)", "--dim", "2",
+         "--lambda", "0.5", "--trials", "3", "--samples", "10000",
+         "--box", "0.9,1.0", "--seed", "1"),
     ])
     def test_overflow_is_numeric_failure(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -138,6 +138,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             expr.evaluate(expr.parse("x^0.5"), {"x": -2.0})
 
+    @pytest.mark.parametrize("source", ["x*x*x", "x*x*x - x*x*x"])
+    def test_non_finite_value_is_domain_error(self, source):
+        with pytest.raises(DomainError, match="non-finite value"):
+            expr.evaluate(expr.parse(source), {"x": 1e200})
+
     def test_integer_power_of_negative(self):
         assert expr.evaluate(expr.parse("x^3"), {"x": -2.0}) == -8.0
 
@@ -279,6 +284,11 @@ class TestEvalMany:
     def test_domain_error_on_any_element(self):
         with pytest.raises(DomainError):
             expr.eval_many(expr.parse("log(x)"), {"x": np.array([1.0, -1.0])})
+
+    @pytest.mark.parametrize("source", ["exp(700*x)", "exp(700*x) - exp(700*x)"])
+    def test_non_finite_value_is_domain_error(self, source):
+        with pytest.raises(DomainError, match="non-finite value"):
+            expr.eval_many(expr.parse(source), {"x": np.array([0.0, 2.0])})
 
     def test_multivariate(self):
         ast = expr.parse("x^2 - y^2")

@@ -247,17 +247,44 @@ class TestMcAverages:
         b = mc_ball_average(expr.parse("x^2 - y^2"), spec, 50000, 4242)
         assert a == b
 
-    def test_parallel_consistency(self):
-        spec = BallSpec((1.0, 2.0), 0.5)
-        seq = mc_ball_average(expr.parse("x^2 - y^2"), spec, 600000, 11)
-        par = mc_ball_average(expr.parse("x^2 - y^2"), spec, 600000, 11, threads=4)
-        assert abs(par.estimate - seq.estimate) <= 6.0 * seq.stderr
+    def test_thread_count_never_changes_bits(self):
+        # three chunks, the last with an odd number of Box-Muller draws
+        g = expr.parse("x^2 - y^2 + x*z")
+        spec = BallSpec((1.0, 2.0, -0.5), 0.5)
+        samples = 2 * integrate._CHUNK + 777
+        for average in (mc_ball_average, mc_sphere_average):
+            runs = [average(g, spec, samples, 11, threads=t) for t in (1, 2, 4)]
+            assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("count", [1, 2, 777, 1000])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chunk_counter_offsets(self, count, dim):
+        spec = BallSpec((0.0,) * dim, 1.0)
+        for sampler, on_sphere in ((sample_ball_many, False), (sample_sphere_many, True)):
+            rng = CounterRng(5, counter=10)
+            sampler(spec, rng, count)
+            assert rng.counter - 10 == integrate._counters_used(count, dim, on_sphere)
 
     def test_domain_error_reports_point(self):
         with pytest.raises(McDomainError) as err:
             mc_ball_average(expr.parse("sqrt(x)"), BallSpec((0.0, 0.0), 1.0), 10000, 2)
         assert len(err.value.point) == 2
         assert err.value.point[0] < 0
+
+    def test_first_late_offending_sample_reported(self):
+        points = np.ones((20000, 2))
+        points[[19990, 19995], 0] = [-1.0, -2.0]
+        with pytest.raises(McDomainError) as err:
+            integrate._eval_at_points(expr.parse("sqrt(x) + y"), points)
+        assert err.value.point == (-1.0, 1.0)
+        assert "sqrt of a negative argument" in str(err.value.cause)
+
+    def test_non_finite_value_is_domain_error(self):
+        with pytest.raises(McDomainError) as err:
+            mc_ball_average(expr.parse("exp(700*x) - exp(700*x)"),
+                            BallSpec((1.0, 1.0), 1.0), 10000, 2)
+        assert err.value.point[0] > 1.0  # exp(700*x) overflows only above x ~ 1.014
+        assert "non-finite value" in str(err.value)
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mvlab import expr, mvp
+from mvlab import expr, integrate, mvp
 from mvlab.expr import print_canonical
 from mvlab.mvp import (
     WeightSpec,
@@ -189,6 +189,12 @@ class TestBallSphereCheckers:
         v1 = check_ball_mvp(g, w, 3, BOX, 10000, 99, 2)
         v2 = check_ball_mvp(g, w, 3, BOX, 10000, 99, 2)
         assert v1 == v2
+
+    def test_non_finite_average_is_domain_error(self):
+        # inf - inf sampled near x = 2 used to give NaN residuals and holds=True
+        g = expr.parse("exp(700*x) - exp(700*x)")
+        with pytest.raises(integrate.McDomainError, match="non-finite value"):
+            check_ball_mvp(g, WeightSpec(0.5), 3, (0.9, 1.0), 10000, 1, 2)
 
     def test_minimum_samples_enforced(self):
         g = builtin_fields("coordinate_1", 2)
