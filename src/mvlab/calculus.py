@@ -12,18 +12,21 @@ single tree walk per direction.
 
 `abs` is not differentiable at 0: jets raise a domain error when an `abs`
 argument is exactly 0 rather than silently picking a subgradient.
+
+Every pass goes through `expr.eval_with`, which raises a DomainError when
+any part of the resulting jet is inf or NaN; this module has no check of
+its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import expr
-from .expr import Node, _DomainViolation
+from .expr import Node, _DomainViolation, _REAL_CARRIERS, _broadcast
 
 __all__ = [
     "Jet3",
@@ -35,8 +38,6 @@ __all__ = [
     "directional_derivative",
     "directional_derivative_many",
 ]
-
-_SCALARS = (int, float, np.floating)
 
 
 def _pow_term(t: Any, coeff: float, q: float) -> Any:
@@ -64,6 +65,11 @@ class Jet3:
     # keep numpy from coercing jets into object arrays; reflected dunders run instead
     __array_ufunc__ = None
 
+    @property
+    def parts(self) -> tuple[Any, Any, Any, Any]:
+        """(f, d1, d2, d3); `expr.eval_with` checks each for inf/NaN."""
+        return (self.f, self.d1, self.d2, self.d3)
+
     @staticmethod
     def constant(c: Any) -> "Jet3":
         return Jet3(c, 0.0, 0.0, 0.0)
@@ -76,7 +82,7 @@ class Jet3:
     def _lift(other: Any) -> "Jet3 | None":
         if isinstance(other, Jet3):
             return other
-        if isinstance(other, _SCALARS) or isinstance(other, np.ndarray):
+        if isinstance(other, _REAL_CARRIERS):
             return Jet3.constant(other)
         return None
 
@@ -200,7 +206,7 @@ class Jet3:
             if np.any(np.asarray(self.f) <= 0):
                 raise _DomainViolation("power with varying exponent needs a positive base")
             return (other * self.log()).exp()
-        if isinstance(other, _SCALARS):
+        if isinstance(other, _REAL_CARRIERS):
             return self._pow_const(other)
         return NotImplemented
 
@@ -226,34 +232,26 @@ class Jet3:
         )
 
 
-
-
 # ---------------------------------------------------------------------------
 # Derivative drivers
 
 
+def _jet(g: Node, env: dict[int, Any]) -> Jet3:
+    # one checked evaluation; a result that ignores the jets is a constant
+    out = expr.eval_with(g, env)
+    return out if isinstance(out, Jet3) else Jet3.constant(out)
+
+
 def derivatives_1d(f: Node, x0: float) -> tuple[float, float, float, float]:
     """(f(x0), f'(x0), f''(x0), f'''(x0)) by one order-3 jet pass."""
-    out = eval_jet(f, {expr.sole_variable(f) or 1: Jet3.variable(float(x0))})
+    out = _jet(f, {expr.sole_variable(f) or 1: Jet3.variable(float(x0))})
     return (float(out.f), float(out.d1), float(out.d2), float(out.d3))
-
-
-def eval_jet(f: Node, env: dict[int, Any]) -> Jet3:
-    out = expr.eval_with(f, env)
-    if not isinstance(out, Jet3):
-        out = Jet3.constant(out)
-    return out
 
 
 def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
     """f'(x) at every x in `xs`, computed in a single array-valued pass."""
     xs = np.asarray(xs, dtype=float)
-    return _per_point(eval_jet(f, {expr.sole_variable(f) or 1: Jet3.variable(xs)}).d1, xs)
-
-
-def _per_point(x: Any, like: np.ndarray) -> np.ndarray:
-    # a result that ignores the array-valued variables is a scalar: spread it
-    return np.broadcast_to(np.asarray(x, dtype=float), like.shape).copy()
+    return _broadcast(_jet(f, {expr.sole_variable(f) or 1: Jet3.variable(xs)}).d1, xs.shape)
 
 
 def _check_dimension(g: Node, n: int) -> None:
@@ -268,18 +266,9 @@ def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float]) -> 
     """Jet of t -> g(coords + t*direction) at t = 0: d1 and d2 are the
     first and second derivatives of g along `direction`.  Variables with a
     zero direction component stay plain floats or arrays on the checked
-    real path.  A non-finite value or derivative is a domain error."""
-    env = {j + 1: x if d == 0 else Jet3(x, d, 0.0, 0.0)
-           for j, (x, d) in enumerate(zip(coords, direction))}
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        out = eval_jet(g, env)
-    if not (_finite(out.f) and _finite(out.d1) and _finite(out.d2)):
-        raise expr.DomainError(g, "non-finite value or derivative")
-    return out
-
-
-def _finite(x: Any) -> bool:
-    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else math.isfinite(x)
+    real path."""
+    return _jet(g, {j + 1: x if d == 0 else Jet3(x, d, 0.0, 0.0)
+                    for j, (x, d) in enumerate(zip(coords, direction))})
 
 
 def _axis(n: int, i: int) -> tuple[float, ...]:
@@ -329,7 +318,8 @@ def laplacian_many(g: Node, points: Any) -> tuple[np.ndarray, np.ndarray]:
     from one array-valued jet pass per axis."""
     coords = _columns(points)
     value, total = _laplacian_pass(g, coords)
-    return _per_point(value, coords[0]), _per_point(total, coords[0])
+    shape = coords[0].shape
+    return _broadcast(value, shape), _broadcast(total, shape)
 
 
 def directional_derivative(g: Node, point: Sequence[float], v: Sequence[float]) -> float:
@@ -341,4 +331,4 @@ def directional_derivative_many(g: Node, points: Any, v: Sequence[float]) -> np.
     """Derivative of g along the unit vector v at every row of `points`,
     shape (count, dim), from one array-valued jet pass."""
     coords = _columns(points)
-    return _per_point(_directional_pass(g, coords, v), coords[0])
+    return _broadcast(_directional_pass(g, coords, v), coords[0].shape)

@@ -169,18 +169,9 @@ def _verdict_exit(verdict: mvp.PropertyVerdict, out: str | None) -> int:
     return _EXIT_OK if verdict.holds else _EXIT_VIOLATED
 
 
-def _cmd_check_weighted(args: argparse.Namespace) -> int:
+def _cmd_interval_check(args: argparse.Namespace) -> int:
     f = expr.parse(args.fn)
-    lam = 0.5 if getattr(args, "midpoint", False) else float(args.lam)
-    verdict = mvp.check_weighted_property(
-        f, lam, args.trials, mvroot.Interval(args.a, args.b), args.seed, args.tol
-    )
-    return _verdict_exit(verdict, args.out)
-
-
-def _cmd_check_interval(args: argparse.Namespace) -> int:
-    f = expr.parse(args.fn)
-    verdict = mvp.check_interval_mvp(
+    verdict = args.checker(
         f, float(args.lam), args.trials, mvroot.Interval(args.a, args.b),
         args.seed, args.tol,
     )
@@ -257,10 +248,6 @@ def _cmd_builtins(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-
-
 def _add_fn(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--fn", required=True, help="expression text, e.g. 'x^2 - y^2'")
 
@@ -270,9 +257,13 @@ def _add_randomized(sub: argparse.ArgumentParser, tol: float) -> None:
     sub.add_argument("--tol", type=float, default=tol, help="residual tolerance")
 
 
+_OUT = argparse.ArgumentParser(add_help=False)
+_OUT.add_argument("--out", help="write output to this path instead of stdout")
+
+
 def _subparser(sub, name: str, text: str) -> argparse.ArgumentParser:
     # `help` shows in the top-level listing, `description` on the subcommand page
-    return sub.add_parser(name, help=text, description=text)
+    return sub.add_parser(name, help=text, description=text, parents=[_OUT])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subparser(sub, "parse", "parse an expression and echo its canonical form")
     _add_fn(p)
-    _add_common(p)
     p.set_defaults(handler=_cmd_parse)
 
     p = _subparser(sub, "abscissa", "locate every c in (a,b) with f'(c) = (f(b)-f(a))/(b-a)",
@@ -299,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--grid", type=int, default=1024, help="scan cells for sign changes")
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
     p.set_defaults(handler=_cmd_abscissa)
 
     p = _subparser(sub, "sweep", (
@@ -316,40 +305,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="sweep tables default to CSV")
-    _add_common(p)
     p.set_defaults(handler=_cmd_sweep)
 
-    for name, midpoint in (("check-weighted", False), ("check-midpoint", True)):
-        p = _subparser(sub, name, (
-                "test (f(b)-f(a))/(b-a) = f'("
-                + ("(a+b)/2" if midpoint else "lambda*a + (1-lambda)*b")
-                + ") on random subintervals"
-            ),
-        )
+    # checkers (here and for ball/sphere below) are looked up per parser
+    # build, so wrappers installed on mvp (profilers, tracers) see CLI calls
+    for name, checker, identity, tol in (
+        ("check-weighted", mvp.check_weighted_property,
+         "(f(b)-f(a))/(b-a) = f'(lambda*a + (1-lambda)*b) on random subintervals", 1e-9),
+        ("check-midpoint", mvp.check_weighted_property,
+         "(f(b)-f(a))/(b-a) = f'((a+b)/2) on random subintervals", 1e-9),
+        ("check-interval", mvp.check_interval_mvp,
+         "f'(x+(1-2*lambda)*h) = (1/2h) * integral of f' over [x-h, x+h] "
+         "on random symmetric intervals", 1e-8),
+    ):
+        p = _subparser(sub, name, "test " + identity)
         _add_fn(p)
         p.add_argument("--a", type=float, required=True, help="domain lower bound")
         p.add_argument("--b", type=float, required=True, help="domain upper bound")
-        if not midpoint:
+        if name == "check-midpoint":
+            p.set_defaults(lam=0.5)
+        else:
             p.add_argument("--lambda", dest="lam", type=_rational, required=True,
                            help="weight in (0,1), e.g. 0.25 or 1/4")
         p.add_argument("--trials", type=int, default=200)
-        _add_randomized(p, tol=1e-9)
-        _add_common(p)
-        p.set_defaults(handler=_cmd_check_weighted, midpoint=midpoint)
-
-    p = _subparser(sub, "check-interval", (
-            "test f'(x+(1-2*lambda)*h) = (1/2h) * integral of f' over "
-            "[x-h, x+h] on random symmetric intervals"
-        ),
-    )
-    _add_fn(p)
-    p.add_argument("--a", type=float, required=True, help="domain lower bound")
-    p.add_argument("--b", type=float, required=True, help="domain upper bound")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    _add_randomized(p, tol=1e-8)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check_interval)
+        _add_randomized(p, tol=tol)
+        p.set_defaults(handler=_cmd_interval_check, checker=checker)
 
     p = _subparser(sub, "poly-verify", (
             "decide exactly (rational arithmetic) whether p(b) - p(a) = "
@@ -359,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", type=_csv_rationals, required=True,
                    help="lowest degree first, e.g. 1,2,3 or 1/2,-1/3")
     p.add_argument("--lambda", dest="lam", type=_rational, required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_poly_verify)
 
     p = _subparser(sub, "lambda-family", (
@@ -369,11 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--k", type=int, required=True, help="monomial exponent minus one, 1..20")
-    _add_common(p)
     p.set_defaults(handler=_cmd_lambda_family)
 
-    # checkers are looked up per parser build, so wrappers installed on
-    # mvp (profilers, tracers) see CLI calls
     for name, checker, what in (
         ("ball-check", mvp.check_ball_mvp, "solid ball average"),
         ("sphere-check", mvp.check_sphere_mvp, "boundary sphere average"),
@@ -397,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="sampling threads (the output never depends on it)")
         _add_randomized(p, tol=1e-9)
-        _add_common(p)
         p.set_defaults(handler=_cmd_offset_check, checker=checker)
 
     p = _subparser(sub, "laplacian", "check sum of second partials of g = 0 at random points, or evaluate it at --at",
@@ -408,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0))
     _add_randomized(p, tol=1e-8)
-    _add_common(p)
     p.set_defaults(handler=_cmd_laplacian)
 
     p = _subparser(sub, "vderiv", "check the directional derivative grad(g) . v = 0 at random points, or evaluate it at --at",
@@ -420,13 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0))
     _add_randomized(p, tol=1e-8)
-    _add_common(p)
     p.set_defaults(handler=_cmd_vderiv)
 
     p = _subparser(sub, "builtins", "list the built-in test fields or print one")
     p.add_argument("--name", default=None)
     p.add_argument("--dim", type=int, default=2)
-    _add_common(p)
     p.set_defaults(handler=_cmd_builtins)
 
     return parser

@@ -403,13 +403,12 @@ def print_canonical(ast: Node) -> str:
 # scalar math), numpy arrays (vectorized, checked with np.any), and the
 # forward-mode Jet3 from mvlab.calculus, which implements the arithmetic
 # dunders plus sin/cos/exp/log/sqrt/tanh/abs methods and raises
-# _DomainViolation on domain faults.
+# _DomainViolation on domain faults.  `eval_with` is the one checked entry
+# point: it is where an inf or NaN result (for a jet, in any of its
+# `parts`) becomes a DomainError, for every carrier type.
 
-_REAL_TYPES = (int, float, np.floating)
-
-
-def _is_real(v: Any) -> bool:
-    return isinstance(v, _REAL_TYPES)
+# real carrier types; anything else (a jet) brings its own arithmetic
+_REAL_CARRIERS = (int, float, np.floating, np.ndarray)
 
 
 def _real_divide(lhs: Any, rhs: Any) -> Any:
@@ -492,7 +491,25 @@ def _real_apply(fn: str, v: Any) -> Any:
 def eval_with(ast: Node, env: Mapping[int, Any]) -> Any:
     """Low-level evaluation: `env` maps variable index -> value, where a
     value may be a float, a numpy array, or a forward-mode number.  Domain
-    faults surface as DomainError carrying the offending sub-expression."""
+    faults surface as DomainError carrying the offending sub-expression;
+    an inf or NaN anywhere in the result is a DomainError on `ast`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = _walk(ast, env)
+    for part in getattr(out, "parts", (out,)):
+        if not (np.isfinite(part).all() if isinstance(part, np.ndarray)
+                else math.isfinite(part)):
+            raise DomainError(ast, "non-finite value")
+    return out
+
+
+def _broadcast(x: Any, shape: tuple[int, ...]) -> np.ndarray:
+    # a result that ignores the array-valued variables is a scalar: spread it
+    if isinstance(x, np.ndarray) and x.shape == shape:
+        return x
+    return np.broadcast_to(np.asarray(x, dtype=float), shape).copy()
+
+
+def _walk(ast: Node, env: Mapping[int, Any]) -> Any:
     if isinstance(ast, Num):
         return ast.value
     if isinstance(ast, Var):
@@ -502,10 +519,10 @@ def eval_with(ast: Node, env: Mapping[int, Any]) -> Any:
             raise UnboundVariableError(ast.name) from None
     try:
         if isinstance(ast, Neg):
-            return -eval_with(ast.operand, env)
+            return -_walk(ast.operand, env)
         if isinstance(ast, BinOp):
-            lhs = eval_with(ast.left, env)
-            rhs = eval_with(ast.right, env)
+            lhs = _walk(ast.left, env)
+            rhs = _walk(ast.right, env)
             if ast.op == "+":
                 return lhs + rhs
             if ast.op == "-":
@@ -513,19 +530,17 @@ def eval_with(ast: Node, env: Mapping[int, Any]) -> Any:
             if ast.op == "*":
                 return lhs * rhs
             if ast.op == "/":
-                if _is_real(rhs) or isinstance(rhs, np.ndarray):
+                if isinstance(rhs, _REAL_CARRIERS):
                     return _real_divide(lhs, rhs)
                 return lhs / rhs  # AD types check their own denominators
             if ast.op == "^":
-                if (_is_real(lhs) or isinstance(lhs, np.ndarray)) and (
-                    _is_real(rhs) or isinstance(rhs, np.ndarray)
-                ):
+                if isinstance(lhs, _REAL_CARRIERS) and isinstance(rhs, _REAL_CARRIERS):
                     return _real_pow(lhs, rhs)
                 return lhs**rhs
             raise TypeError(f"unknown operator {ast.op!r}")
         if isinstance(ast, Call):
-            v = eval_with(ast.arg, env)
-            if _is_real(v) or isinstance(v, np.ndarray):
+            v = _walk(ast.arg, env)
+            if isinstance(v, _REAL_CARRIERS):
                 return _real_apply(ast.fn, v)
             return getattr(v, ast.fn)()
     except _DomainViolation as exc:
@@ -556,10 +571,7 @@ def evaluate(ast: Node, bindings: Mapping[Any, Any] | None = None) -> float:
     like "x", "x2" or 1-based indices).  Standard real semantics; raises
     UnboundVariableError or DomainError (also for an inf or NaN result)."""
     env = _normalize_bindings(bindings or {})
-    value = float(eval_with(ast, {k: float(v) for k, v in env.items()}))
-    if not math.isfinite(value):
-        raise DomainError(ast, "non-finite value")
-    return value
+    return float(eval_with(ast, {k: float(v) for k, v in env.items()}))
 
 
 def eval_many(ast: Node, bindings: Mapping[Any, Iterable[float]]) -> np.ndarray:
@@ -568,10 +580,4 @@ def eval_many(ast: Node, bindings: Mapping[Any, Iterable[float]]) -> np.ndarray:
     An inf or NaN anywhere in the result raises DomainError."""
     env = {k: np.asarray(v, dtype=float) for k, v in _normalize_bindings(bindings).items()}
     shape = next(iter(env.values())).shape if env else ()
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = eval_with(ast, env)
-    if not np.isfinite(out).all():
-        raise DomainError(ast, "non-finite value")
-    if not isinstance(out, np.ndarray) or out.shape != shape:
-        out = np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
-    return out
+    return _broadcast(eval_with(ast, env), shape)

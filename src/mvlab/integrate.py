@@ -12,6 +12,10 @@ Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
 Sphere averages in n = 1 are rejected: the "sphere" degenerates to two
 points, which the interval checkers in mvlab.mvp already cover.
+
+Integrand values are checked in `expr.eval_with`; an inf or NaN merged
+mean or standard error (a sum of huge finite values can overflow) is a
+DomainError too.
 """
 
 from __future__ import annotations
@@ -273,8 +277,9 @@ def _chunk_moments(
     sampler = sample_sphere_many if on_sphere else sample_ball_many
     points = sampler(spec, rng, count)
     values = _eval_at_points(g, points)
-    mean = float(np.mean(values))
-    m2 = float(np.sum((values - mean) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # _mc_average checks the merge
+        mean = float(np.mean(values))
+        m2 = float(np.sum((values - mean) ** 2))
     return count, mean, m2
 
 
@@ -318,6 +323,8 @@ def _mc_average(
             results = list(pool.map(chunk, firsts))
     n, mean, m2 = functools.reduce(_merge_moments, results)
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise expr.DomainError(g, "non-finite Monte Carlo moment")
     return McEstimate(mean, stderr, n, seed)
 
 

@@ -12,6 +12,12 @@ standard errors keeps the false-violation probability per trial near
 6e-5.  The ball and sphere forms of the n-dimensional property are
 believed equivalent; the test suite exercises that equivalence on the
 built-in fields, treating it as a claim under test rather than an axiom.
+
+Every checker collects its per-trial residuals and allowances and hands
+them to `_verdict`, which raises a DomainError when any of them is inf or
+NaN: a residual that could not be computed is a numeric failure, never a
+verdict.  The evaluations behind the residuals are checked in
+`expr.eval_with` and the Monte Carlo moments in `integrate`.
 """
 
 from __future__ import annotations
@@ -91,40 +97,34 @@ class PropertyVerdict:
 _MAX_COUNTEREXAMPLES = 10
 
 
-class _Recorder:
-    """Aggregates per-trial residuals into a PropertyVerdict."""
-
-    def __init__(self, name: str, tolerance: float, seed: int):
-        self.name = name
-        self.tolerance = tolerance
-        self.seed = seed
-        self.residuals: list[float] = []
-        self.worst = -1.0
-        self.worst_case: dict[str, Any] | None = None
-        self.counterexamples: list[dict[str, Any]] = []
-
-    def record(
-        self, residual: float, case: dict[str, Any], violated: bool
-    ) -> None:
-        self.residuals.append(residual)
-        if residual > self.worst:
-            self.worst = residual
-            self.worst_case = case
-        if violated and len(self.counterexamples) < _MAX_COUNTEREXAMPLES:
-            self.counterexamples.append({**case, "residual": residual})
-
-    def verdict(self) -> PropertyVerdict:
-        return PropertyVerdict(
-            property_name=self.name,
-            holds=not self.counterexamples,
-            trials=len(self.residuals),
-            worst_residual=max(self.worst, 0.0),
-            worst_case=self.worst_case,
-            tolerance=self.tolerance,
-            seed=self.seed,
-            counterexamples=tuple(self.counterexamples),
-            trial_residuals=tuple(self.residuals),
-        )
+def _verdict(
+    name: str,
+    g: Node,
+    tol: float,
+    seed: int,
+    residuals: list[float],
+    allowed: list[float],
+    cases: list[dict[str, Any]],
+) -> PropertyVerdict:
+    """Verdict over per-trial residuals: trial i is a violation when
+    residuals[i] > allowed[i]; the worst case is the first maximal one."""
+    if not all(map(math.isfinite, residuals + allowed)):
+        raise expr.DomainError(g, "non-finite residual")
+    counterexamples = [
+        {**case, "residual": r} for r, a, case in zip(residuals, allowed, cases) if r > a
+    ]
+    worst = max(range(len(residuals)), key=residuals.__getitem__)
+    return PropertyVerdict(
+        property_name=name,
+        holds=not counterexamples,
+        trials=len(residuals),
+        worst_residual=residuals[worst],
+        worst_case=cases[worst],
+        tolerance=tol,
+        seed=seed,
+        counterexamples=tuple(counterexamples[:_MAX_COUNTEREXAMPLES]),
+        trial_residuals=tuple(residuals),
+    )
 
 
 def _sample_intervals(
@@ -153,14 +153,16 @@ def check_weighted_property(
         raise ValueError("need trials >= 1")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    rec = _Recorder(f"weighted-mean-value(lambda={lam!r})", tol, seed)
-    for a, b in _sample_intervals(domain, trials, seed):
+    intervals = _sample_intervals(domain, trials, seed)
+    residuals = []
+    for a, b in intervals:
         slope = mvroot.average_slope(f, Interval(a, b))
-        c = lam * a + (1.0 - lam) * b
-        deriv = calculus.derivatives_1d(f, c)[1]
-        residual = abs(slope - deriv) / (1.0 + abs(slope))
-        rec.record(residual, {"a": a, "b": b}, residual > tol)
-    return rec.verdict()
+        deriv = calculus.derivatives_1d(f, lam * a + (1.0 - lam) * b)[1]
+        residuals.append(abs(slope - deriv) / (1.0 + abs(slope)))
+    return _verdict(
+        f"weighted-mean-value(lambda={lam!r})", f, tol, seed, residuals,
+        [tol] * trials, [{"a": a, "b": b} for a, b in intervals],
+    )
 
 
 def check_interval_mvp(
@@ -182,8 +184,8 @@ def check_interval_mvp(
         raise ValueError("need trials >= 1")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    rec = _Recorder(f"interval-average(lambda={lam!r})", tol, seed)
     fprime = lambda xs: calculus.first_derivative_many(f, xs)  # noqa: E731
+    residuals, cases = [], []
     for a, b in _sample_intervals(domain, trials, seed):
         x = 0.5 * (a + b)
         h = 0.5 * (b - a)
@@ -191,9 +193,11 @@ def check_interval_mvp(
             2.0 * h
         )
         deriv = calculus.derivatives_1d(f, x + (1.0 - 2.0 * lam) * h)[1]
-        residual = abs(average - deriv) / (1.0 + abs(average))
-        rec.record(residual, {"x": x, "h": h}, residual > tol)
-    return rec.verdict()
+        residuals.append(abs(average - deriv) / (1.0 + abs(average)))
+        cases.append({"x": x, "h": h})
+    return _verdict(
+        f"interval-average(lambda={lam!r})", f, tol, seed, residuals, [tol] * trials, cases
+    )
 
 
 def _as_box(box: Any, n: int) -> list[tuple[float, float]]:
@@ -246,31 +250,22 @@ def _check_offset_average(
         raise ValueError(f"invalid radius range {radius_range}")
     average = integrate.mc_sphere_average if on_sphere else integrate.mc_ball_average
 
-    rec = _Recorder(name, tol, seed)
     rng = CounterRng(seed)
     draws = rng.uniforms(trials * (n + 1)).reshape(trials, n + 1)
     lo, hi = np.array(ranges).T
     centers = (lo + draws[:, :n] * (hi - lo)).tolist()
     radii = (h_lo + draws[:, n] * (h_hi - h_lo)).tolist()
+    residuals, allowed, cases = [], [], []
     for t, (center, h) in enumerate(zip(centers, radii)):
         offset = (1.0 - 2.0 * w.lam) * h
         probe = tuple(c + offset * vi for c, vi in zip(center, v))
         spec = BallSpec(center, h, n)
         est = average(g, spec, samples, rng.split(t).seed, threads)
         lhs = expr.evaluate(g, {i + 1: probe[i] for i in range(n)})
-        residual = abs(lhs - est.estimate)
-        allowed = max(tol, 4.0 * est.stderr)
-        rec.record(
-            residual,
-            {
-                "center": center,
-                "h": h,
-                "stderr": est.stderr,
-                "allowed": allowed,
-            },
-            residual > allowed,
-        )
-    return rec.verdict()
+        residuals.append(abs(lhs - est.estimate))
+        allowed.append(max(tol, 4.0 * est.stderr))
+        cases.append({"center": center, "h": h, "stderr": est.stderr, "allowed": allowed[-1]})
+    return _verdict(name, g, tol, seed, residuals, allowed, cases)
 
 
 def check_ball_mvp(
@@ -334,12 +329,12 @@ def check_harmonicity(
 ) -> PropertyVerdict:
     """Is the sum of second partials of g zero at random points of `box`?
     Violation when |laplacian| > tol * (1 + |g|)."""
-    rec = _Recorder("harmonicity", tol, seed)
     pts = _sample_points(box, n, points, seed)
     values, deltas = calculus.laplacian_many(g, pts)
-    for pt, value, delta in zip(pts.tolist(), values.tolist(), deltas.tolist()):
-        rec.record(abs(delta), {"point": pt}, abs(delta) > tol * (1.0 + abs(value)))
-    return rec.verdict()
+    return _verdict(
+        "harmonicity", g, tol, seed, np.abs(deltas).tolist(),
+        (tol * (1.0 + np.abs(values))).tolist(), [{"point": pt} for pt in pts.tolist()],
+    )
 
 
 def check_v_constancy(
@@ -353,12 +348,12 @@ def check_v_constancy(
 ) -> PropertyVerdict:
     """Is the directional derivative of g along the unit vector v zero at
     random points of `box`?"""
-    rec = _Recorder("v-constancy", tol, seed)
     pts = _sample_points(box, n, points, seed)
     derivs = calculus.directional_derivative_many(g, pts, v)
-    for pt, deriv in zip(pts.tolist(), derivs.tolist()):
-        rec.record(abs(deriv), {"point": pt}, abs(deriv) > tol)
-    return rec.verdict()
+    return _verdict(
+        "v-constancy", g, tol, seed, np.abs(derivs).tolist(), [tol] * points,
+        [{"point": pt} for pt in pts.tolist()],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,14 @@ class TestDerivatives1d:
             calculus.derivatives_1d(expr.parse("abs(x)"), 0.0)
         assert calculus.derivatives_1d(expr.parse("abs(x)"), -2.0)[1] == -1.0
 
+    def test_non_finite_is_domain_error(self):
+        # f(1) = exp(709) is finite, f'(1) = 709*exp(709) is not
+        f = expr.parse("exp(709*x)")
+        with pytest.raises(DomainError, match="non-finite value"):
+            calculus.derivatives_1d(f, 1.0)
+        with pytest.raises(DomainError, match="non-finite value"):
+            calculus.first_derivative_many(f, [0.5, 1.0])
+
 
 def _ad_fd_points(lo, hi):
     # interior points, clear of the domain edges used by log/sqrt corpus entries
@@ -155,6 +163,9 @@ class TestLaplacian:
         with pytest.raises(DomainError, match="non-finite"):
             calculus.laplacian_many(expr.parse("exp(700*x) - exp(700*x) + y"),
                                     [(1.5, 0.0), (1.9, 0.0)])
+        with pytest.raises(DomainError, match="non-finite"):
+            # d2 = 1.5e308 is finite, but the third derivative overflows
+            calculus.laplacian(expr.parse("exp(10*x)"), (70.5,))
 
     def test_builtin_harmonics_vanish(self):
         rng = CounterRng(2024)

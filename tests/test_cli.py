@@ -162,6 +162,16 @@ class TestCheckers:
         ("ball-check", "--fn", "exp(700*x)-exp(700*x)", "--dim", "2",
          "--lambda", "0.5", "--trials", "3", "--samples", "10000",
          "--box", "0.9,1.0", "--seed", "1"),
+        # f' overflows on every trial: all residuals were NaN and "holds" was true
+        ("check-interval", "--fn", "exp(709*x)", "--lambda", "1/2", "--a", "0.992",
+         "--b", "1.0", "--trials", "5"),
+        ("check-midpoint", "--fn", "exp(709*x)", "--a", "0.992", "--b", "1.0",
+         "--trials", "5"),
+        # the squared deviations overflow: stderr was printed as Infinity
+        ("ball-check", "--fn", "1e200*x^2", "--dim", "2", "--lambda", "1/2",
+         "--trials", "3", "--samples", "10000", "--box=-1,1"),
+        # f' is inf on the top of the scan grid; the bisection used to go on
+        ("abscissa", "--fn", "exp(709*x)", "--a", "0", "--b", "1"),
     ])
     def test_overflow_is_numeric_failure(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -286,6 +286,14 @@ class TestMcAverages:
         assert err.value.point[0] > 1.0  # exp(700*x) overflows only above x ~ 1.014
         assert "non-finite value" in str(err.value)
 
+    @pytest.mark.parametrize("source,center,radius", [
+        ("1e200*x^2", (0.0, 0.0), 1.0),  # the squared deviations overflow
+        ("1e308*x+1e308*y", (0.5, 0.5), 0.4),  # the sum behind the mean overflows
+    ])
+    def test_non_finite_moment_is_domain_error(self, source, center, radius):
+        with pytest.raises(expr.DomainError, match="non-finite Monte Carlo moment"):
+            mc_ball_average(expr.parse(source), BallSpec(center, radius), 10000, 1)
+
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             mc_ball_average(expr.parse("1"), BallSpec((0.0,), 1.0), 999, 0)

@@ -103,6 +103,16 @@ class TestCheckWeightedProperty:
         with pytest.raises(expr.DomainError):
             check_weighted_property(expr.parse("log(x)"), 0.5, 20, DOMAIN, seed=2)
 
+    @pytest.mark.parametrize("source,domain,message", [
+        # f' overflows on the whole domain: every residual was NaN, holds=True
+        ("exp(709*x)", Interval(0.992, 1.0), "non-finite value"),
+        # f and f' stay finite, but f(b) - f(a) overflows on wide subintervals
+        ("1.5e308*sin(x)", Interval(-1.6, 1.6), "non-finite residual"),
+    ])
+    def test_non_finite_is_domain_error(self, source, domain, message):
+        with pytest.raises(expr.DomainError, match=message):
+            check_weighted_property(expr.parse(source), 0.5, 20, domain, seed=0)
+
     def test_lambda_range_validated(self):
         f = expr.parse("x^2")
         with pytest.raises(ValueError):
@@ -228,6 +238,31 @@ class TestVConstancy:
         s = 1.0 / math.sqrt(2.0)
         v = check_v_constancy(expr.parse("x^2 - y^2"), (s, s), 2, 50, BOX, 2)
         assert not v.holds
+
+
+class TestVerdict:
+    G = expr.parse("x")
+
+    def test_worst_case_and_counterexamples(self):
+        residuals = [1.0, 3.0, 3.0] + [2.0] * 12
+        cases = [{"i": i} for i in range(15)]
+        v = mvp._verdict("p", self.G, 1.5, 9, residuals, [1.5] * 15, cases)
+        assert not v.holds and v.trials == 15 and v.seed == 9
+        assert (v.worst_residual, v.worst_case) == (3.0, {"i": 1})  # first maximal
+        assert [c["i"] for c in v.counterexamples] == list(range(1, 11))  # first 10
+        assert v.counterexamples[0]["residual"] == 3.0
+        assert v.trial_residuals == tuple(residuals)
+
+    def test_residual_at_its_allowance_holds(self):
+        v = mvp._verdict("p", self.G, 1.0, 0, [0.0, 1.0], [1.0, 1.0], [{}, {}])
+        assert v.holds and v.worst_residual == 1.0
+
+    @pytest.mark.parametrize("residual,allowed", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan),
+    ])
+    def test_non_finite_is_domain_error(self, residual, allowed):
+        with pytest.raises(expr.DomainError, match="non-finite residual"):
+            mvp._verdict("p", self.G, 1.0, 0, [0.0, residual], [1.0, allowed], [{}, {}])
 
 
 class TestBuiltins:
