@@ -196,19 +196,19 @@ class Jet3:
         return self._compose(np.abs(t), sign, 0.0, 0.0)
 
     def __pow__(self, other: Any) -> "Jet3":
-        if isinstance(other, Jet3):
-            if (
-                np.all(np.asarray(other.d1) == 0)
-                and np.all(np.asarray(other.d2) == 0)
-                and np.all(np.asarray(other.d3) == 0)
-            ):
-                return self._pow_const(other.f)
-            if np.any(np.asarray(self.f) <= 0):
-                raise _DomainViolation("power with varying exponent needs a positive base")
-            return (other * self.log()).exp()
-        if isinstance(other, _REAL_CARRIERS):
+        if isinstance(other, Jet3) and not any(
+            np.any(np.asarray(d) != 0) for d in (other.d1, other.d2, other.d3)
+        ):
+            other = other.f
+        if isinstance(other, _REAL_CARRIERS) and np.ndim(other) == 0:
             return self._pow_const(other)
-        return NotImplemented
+        o = Jet3._lift(other)
+        if o is None:
+            return NotImplemented
+        # a varying or array-valued exponent: x^y = exp(y log x)
+        if np.any(np.asarray(self.f) <= 0):
+            raise _DomainViolation("power with varying exponent needs a positive base")
+        return (o * self.log()).exp()
 
     def __rpow__(self, other: Any) -> "Jet3":
         o = Jet3._lift(other)
@@ -287,7 +287,11 @@ def _laplacian_pass(g: Node, coords: Sequence[Any]) -> tuple[Any, Any]:
     n = len(coords)
     _check_dimension(g, n)
     passes = [_seeded_pass(g, coords, _axis(n, i)) for i in range(n)]
-    return passes[0].f, sum(p.d2 for p in passes)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        total = sum(p.d2 for p in passes)
+    if not np.isfinite(total).all():  # each pass is finite, their sum may not be
+        raise expr.DomainError(g, "non-finite Laplacian")
+    return passes[0].f, total
 
 
 def _directional_pass(g: Node, coords: Sequence[Any], v: Sequence[float]) -> Any:

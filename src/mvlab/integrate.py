@@ -6,7 +6,10 @@ splitmix64 finalizer.  Outputs are pure functions of (seed, counter), so
 a Monte Carlo average divides its samples into chunks that read
 consecutive counter ranges of one stream: chunk i starts at the counter
 where chunk i-1 stopped.  The thread count only decides how many chunks
-run at once, so every thread count gives the same bits.
+run at once, so every thread count gives the same bits.  Within a call,
+draws are made in place, in cache-sized blocks of consecutive counters,
+so blocking never changes a bit; buffers are local to each call, so
+threads share no scratch state.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
@@ -54,6 +57,7 @@ MAX_DIM = 10
 
 _U64 = np.uint64
 _INV_2_53 = float(2.0**-53)
+_BLOCK = 1 << 14  # draws per cache-resident block
 
 
 def mix64(z: int) -> int:
@@ -64,12 +68,31 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _U64(30))
-    z = z * _U64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> _U64(27))
-    z = z * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+def _fill_uniforms(seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = draw first + i of stream `seed`, len(out) <= _BLOCK; in place."""
+    z = np.arange(len(out), dtype=_U64) * _U64(GOLDEN)
+    z += _U64((seed + (first + 1) * GOLDEN) & _MASK)
+    t = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 0)):
+        np.right_shift(z, _U64(shift), out=t)
+        z ^= t
+        if mult:
+            z *= _U64(mult)
+    np.right_shift(z, _U64(11), out=t)
+    return np.multiply(t, _INV_2_53, out=out)
+
+
+def _box_muller(seed: int, first_u1: int, first_u2: int, out: np.ndarray) -> None:
+    """Fill `out` (even length) with normals from u1, u2 draws at the counters."""
+    r = _fill_uniforms(seed, first_u1, np.empty(len(out) // 2))
+    theta = _fill_uniforms(seed, first_u2, np.empty(len(out) // 2))
+    np.negative(r, out=r)
+    np.log1p(r, out=r)  # 1-u1 in (0, 1], log is finite
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
+    np.multiply(r, np.cos(theta), out=out[0::2])
+    np.multiply(r, np.sin(theta), out=out[1::2])
 
 
 class CounterRng:
@@ -88,22 +111,21 @@ class CounterRng:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform in [0, 1), consuming `count` counters."""
-        idx = self.counter + np.arange(1, count + 1, dtype=np.uint64)
+        out = np.empty(count)
+        for j in range(0, count, _BLOCK):
+            _fill_uniforms(self.seed, self.counter + j, out[j : j + _BLOCK])
         self.counter += count
-        with np.errstate(over="ignore"):
-            bits = _mix64_array(_U64(self.seed) + idx * _U64(GOLDEN))
-        return (bits >> _U64(11)).astype(np.float64) * _INV_2_53
+        return out
 
     def gaussians(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller (no rejection, counter-exact)."""
+        """Standard normals via Box-Muller (no rejection, counter-exact):
+        pair j uses draw j as u1 and draw pairs + j as u2."""
         pairs = (count + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
-        r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0, 1], log is finite
-        theta = (2.0 * math.pi) * u2
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        for j in range(0, pairs, _BLOCK):
+            _box_muller(self.seed, self.counter + j, self.counter + pairs + j,
+                        out[2 * j : 2 * (j + _BLOCK)])
+        self.counter += 2 * pairs
         return out[:count]
 
 
@@ -225,11 +247,35 @@ def sphere_area(n: int, h: float) -> float:
 # Sampling
 
 
-def _directions(rng: CounterRng, count: int, dim: int) -> np.ndarray:
-    g = rng.gaussians(count * dim).reshape(count, dim)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0  # astronomically unlikely; point degrades to center
-    return g / norms[:, None]
+def _sample_columns(
+    spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool
+) -> np.ndarray:
+    """Contiguous (dim, count) columns of the points; the draws are those of
+    one gaussians(count*dim) call (point-major), then one radius per point.
+    A block holds an even number of coordinates: no Box-Muller pair straddles."""
+    n, seed, first = spec.dim, rng.seed, rng.counter
+    pairs = (count * n + 1) // 2
+    rng.counter += _counters_used(count, n, on_sphere)
+    out = np.empty((n, count))
+    step = _BLOCK // n // 2 * 2  # points per block
+    g = np.empty(step * n)
+    for p in range(0, count, step):
+        m = min(step, count - p)
+        j, k = first + p * n // 2, (m * n + 1) // 2
+        _box_muller(seed, j, j + pairs, g[: 2 * k])
+        rows, block = g[: m * n].reshape(m, n), out[:, p : p + m]
+        block[...] = rows.T
+        if n >= 8:  # keep numpy's pairwise sum order for long rows
+            norms = np.linalg.norm(rows, axis=1)
+        else:  # numpy sums rows shorter than 8 left to right: same bits
+            norms = np.sqrt(sum(row * row for row in block))
+        norms[norms == 0.0] = 1.0  # astronomically unlikely; point degrades to center
+        block /= norms
+        if not on_sphere:  # radii h * U^(1/n) read the counters after all pairs
+            u = _fill_uniforms(seed, first + 2 * pairs + p, np.empty(m))
+        block *= spec.radius if on_sphere else spec.radius * u ** (1.0 / n)
+        block += np.asarray(spec.center)[:, None]
+    return out
 
 
 def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
@@ -238,15 +284,12 @@ def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     Direction: normalized standard Gaussian vector; radius: h * U^(1/dim);
     the polynomial radial law is what makes the density uniform in volume.
     """
-    dirs = _directions(rng, count, spec.dim)
-    radii = spec.radius * rng.uniforms(count) ** (1.0 / spec.dim)
-    return np.asarray(spec.center) + radii[:, None] * dirs
+    return _sample_columns(spec, rng, count, on_sphere=False).T
 
 
 def sample_sphere_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     """`count` points uniform on the bounding sphere, shape (count, dim)."""
-    dirs = _directions(rng, count, spec.dim)
-    return np.asarray(spec.center) + spec.radius * dirs
+    return _sample_columns(spec, rng, count, on_sphere=True).T
 
 
 def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
@@ -262,6 +305,7 @@ _CHUNK = 1 << 19
 
 def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
     try:
+        # the samplers return views of contiguous columns
         return expr.eval_many(g, dict(enumerate(points.T, start=1)))
     except expr.DomainError as err:
         if len(points) > 1:  # checks are elementwise: halve to the first bad row

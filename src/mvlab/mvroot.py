@@ -135,12 +135,14 @@ def find_abscissas(
     for i in range(1, grid):
         if phi_values[i] == 0.0:
             roots.append(float(xs[i]))
-    for i in range(grid):
-        if phi_values[i] * phi_values[i + 1] < 0.0:
-            roots.append(
-                _bisect(phi, float(xs[i]), float(xs[i + 1]), float(phi_values[i]),
-                        tol * iv.width)
-            )
+    # strict sign changes; comparing sign bits cannot overflow like a product
+    left, right = phi_values[:-1], phi_values[1:]
+    changes = (left != 0.0) & (right != 0.0) & (np.signbit(left) != np.signbit(right))
+    for i in np.flatnonzero(changes):
+        roots.append(
+            _bisect(phi, float(xs[i]), float(xs[i + 1]), float(phi_values[i]),
+                    tol * iv.width)
+        )
 
     roots = sorted(r for r in roots if iv.a < r < iv.b)
     deduped: list[float] = []

@@ -167,6 +167,24 @@ class TestLaplacian:
             # d2 = 1.5e308 is finite, but the third derivative overflows
             calculus.laplacian(expr.parse("exp(10*x)"), (70.5,))
 
+    def test_overflowing_sum_is_domain_error(self):
+        # both second partials are 1e308, finite; their sum is not
+        with pytest.raises(DomainError, match="non-finite Laplacian"):
+            calculus.laplacian(expr.parse("0.5e308*x^2 + 0.5e308*y^2"), (0.0, 0.0))
+        with pytest.raises(DomainError, match="non-finite Laplacian"):
+            calculus.laplacian_many(expr.parse("0.5e308*x^2 + 0.5e308*y^2"),
+                                    [(0.0, 0.0), (1.0, 1.0)])
+
+    def test_array_exponent(self):
+        pts = 1.0 + CounterRng(11).uniforms(100).reshape(50, 2)
+        x, y = pts[:, 0], pts[:, 1]
+        values, laps = calculus.laplacian_many(expr.parse("x^y"), pts)
+        expected = y * (y - 1) * x ** (y - 2) + x**y * np.log(x) ** 2
+        np.testing.assert_allclose(values, x**y, rtol=1e-14)
+        np.testing.assert_allclose(laps, expected, rtol=1e-13)
+        with pytest.raises(DomainError, match="positive base"):
+            calculus.laplacian_many(expr.parse("x^y"), [(0.0, 2.0), (1.0, 2.5)])
+
     def test_builtin_harmonics_vanish(self):
         rng = CounterRng(2024)
         cases = [(f"harmonic2d_{k}", 2) for k in range(7)]

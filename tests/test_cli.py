@@ -135,6 +135,15 @@ class TestCheckers:
         )
         assert code == 0
 
+    def test_laplacian_array_exponent(self, capsys):
+        # the x pass keeps y a plain array, so x^y has an array exponent
+        code, out, _ = run(
+            capsys, "laplacian", "--fn", "x^y", "--dim", "2", "--points", "3",
+            "--box", "1,2",
+        )
+        assert code == 1
+        assert json.loads(out)["trials"] == 3
+
     def test_vderiv_at_point(self, capsys):
         code, out, _ = run(
             capsys, "vderiv", "--fn", "x+y", "--dim", "2", "--v", "0,1",
@@ -172,6 +181,8 @@ class TestCheckers:
          "--trials", "3", "--samples", "10000", "--box=-1,1"),
         # f' is inf on the top of the scan grid; the bisection used to go on
         ("abscissa", "--fn", "exp(709*x)", "--a", "0", "--b", "1"),
+        # each pass is finite, their sum overflows: was printed as Infinity
+        ("laplacian", "--fn", "0.5e308*x^2 + 0.5e308*y^2", "--dim", "2", "--at", "0,0"),
     ])
     def test_overflow_is_numeric_failure(self, capsys, argv):
         code, out, err = run(capsys, *argv)

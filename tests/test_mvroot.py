@@ -97,6 +97,12 @@ class TestFindAbscissas:
         with pytest.raises(expr.DomainError):
             find_abscissas(expr.parse("log(x)"), Interval(-1.0, 1.0))
 
+    def test_huge_derivative_sign_test(self):
+        # phi is ~1e200 at both ends of a cell: a product of neighbours
+        # overflows, which the suite turns into an error
+        res = find_abscissas(expr.parse("1e200*x^3"), Interval(-1.0, 2.0))
+        assert res.abscissas == pytest.approx((1.0,), abs=1e-12)
+
     def test_residual_bound_and_lambda_consistency(self):
         rng = random.Random(12)
         checked = 0
