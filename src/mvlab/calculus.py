@@ -20,6 +20,7 @@ its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "laplacian_many",
     "directional_derivative",
     "directional_derivative_many",
+    "unit_vector",
 ]
 
 
@@ -297,11 +299,19 @@ def _laplacian_pass(g: Node, coords: Sequence[Any]) -> tuple[Any, Any]:
 def _directional_pass(g: Node, coords: Sequence[Any], v: Sequence[float]) -> Any:
     if len(v) != len(coords):
         raise ValueError("direction and point dimensions differ")
-    norm = float(np.linalg.norm(np.asarray(v, dtype=float)))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"v must be a unit vector (|v| = {norm!r})")
+    direction = unit_vector(v)
     _check_dimension(g, len(coords))
-    return _seeded_pass(g, coords, [float(c) for c in v]).d1
+    return _seeded_pass(g, coords, direction).d1
+
+
+def unit_vector(v: Sequence[float]) -> tuple[float, ...]:
+    """v as a tuple of floats, checked to be a direction: every component
+    finite and |v| within 1e-12 of 1 (a NaN norm fails the test too)."""
+    v = tuple(float(c) for c in v)
+    norm = math.sqrt(sum(c * c for c in v))
+    if not (all(map(math.isfinite, v)) and abs(norm - 1.0) <= 1e-12):
+        raise ValueError(f"v must be a finite unit vector, got {v}")
+    return v
 
 
 def gradient(g: Node, point: Sequence[float]) -> list[float]:

@@ -3,11 +3,15 @@
 Every solver and checker in the library is exposed as a subcommand that
 prints JSON (or CSV for sweep tables) to stdout or --out.  Outputs carry
 no timestamps or hostnames, so rerunning the same argv with the same seed
-reproduces byte-identical bytes.
+reproduces byte-identical bytes.  Handlers only compute: each returns its
+payload and whether the property holds, and `main` alone encodes, writes
+and picks the exit code.  Float flags must be finite, so no flag value
+can put NaN or Infinity into the JSON.
 
 Exit codes: 0 = property holds / computation succeeded, 1 = property
 violated (counterexamples in the output), 2 = usage or expression parse
-error, 3 = numeric failure (domain error, no abscissa found).
+error (including a non-finite float flag), 3 = numeric failure (domain
+error, no abscissa found, a non-finite number in the output).
 """
 
 from __future__ import annotations
@@ -40,28 +44,33 @@ def _seed(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
+    return value
+
+
 def _rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:  # "1/0"
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_finite(part) for part in text.split(","))
 
 
 def _csv_rationals(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part) for part in text.split(","))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict[str, Any], out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    return tuple(_rational(part) for part in text.split(","))
 
 
 def _float_or_none(v: float | None) -> float | None:
@@ -71,25 +80,26 @@ def _float_or_none(v: float | None) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (payload, holds), where the payload is a
+# JSON-able dict or the sweep CSV text; `main` encodes and writes it.
+
+_Result = tuple[dict[str, Any] | str, bool]
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: argparse.Namespace) -> _Result:
     ast = expr.parse(args.fn)
-    payload = {
+    return {
         "source": args.fn,
         "canonical": expr.print_canonical(ast),
         "variables": [f"x{i}" for i in expr.variables(ast)],
-    }
-    _emit_json(payload, args.out)
-    return _EXIT_OK
+    }, True
 
 
-def _cmd_abscissa(args: argparse.Namespace) -> int:
+def _cmd_abscissa(args: argparse.Namespace) -> _Result:
     f = expr.parse(args.fn)
     iv = mvroot.Interval(args.a, args.b)
     result = mvroot.find_abscissas(f, iv, grid=args.grid, tol=args.tol)
-    payload = {
+    return {
         "function": args.fn,
         "a": iv.a,
         "b": iv.b,
@@ -99,12 +109,10 @@ def _cmd_abscissa(args: argparse.Namespace) -> int:
         "lambdas": list(result.lambdas),
         "grid": args.grid,
         "tol": args.tol,
-    }
-    _emit_json(payload, args.out)
-    return _EXIT_OK
+    }, True
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> _Result:
     f = expr.parse(args.fn)
     result = mvroot.sweep_lambda(
         f, args.x0, args.hmin, args.hmax, args.steps, grid=args.grid, tol=args.tol
@@ -116,76 +124,64 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for row in result.rows:
             lines.append(f"{row.h!r},{row.c!r},{row.lam!r},{row.abs_dev!r},{row.status}")
         lines.append("# fit: " + json.dumps(fit))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "function": args.fn,
-            "x0": args.x0,
-            "rows": [
-                {
-                    "h": row.h,
-                    "c": _float_or_none(row.c),
-                    "lambda": _float_or_none(row.lam),
-                    "abs_dev": _float_or_none(row.abs_dev),
-                    "status": row.status,
-                }
-                for row in result.rows
-            ],
-            "fit": fit,
-        }
-        _emit_json(payload, args.out)
-    return _EXIT_OK
+        return "\n".join(lines) + "\n", True
+    return {
+        "function": args.fn,
+        "x0": args.x0,
+        "rows": [
+            {
+                "h": row.h,
+                "c": _float_or_none(row.c),
+                "lambda": _float_or_none(row.lam),
+                "abs_dev": _float_or_none(row.abs_dev),
+                "status": row.status,
+            }
+            for row in result.rows
+        ],
+        "fit": fit,
+    }, True
 
 
-def _cmd_poly_verify(args: argparse.Namespace) -> int:
+def _cmd_poly_verify(args: argparse.Namespace) -> _Result:
     p = exactpoly.poly_from_coeffs(args.coeffs)
     verdict = exactpoly.classify(p, args.lam)
-    payload = {
+    return {
         "polynomial": str(p),
         "degree": verdict.degree,
         "lambda": str(verdict.lam),
         "satisfies": verdict.satisfies,
         "residual": str(verdict.residual.residual),
-    }
-    _emit_json(payload, args.out)
-    return _EXIT_OK if verdict.satisfies else _EXIT_VIOLATED
+    }, verdict.satisfies
 
 
-def _cmd_lambda_family(args: argparse.Namespace) -> int:
+def _cmd_lambda_family(args: argparse.Namespace) -> _Result:
     fam = exactpoly.lambda_family(args.k)
-    payload = {
+    return {
         "k": fam.k,
         "ratio": fam.ratio,
         "lambda_left_weight": fam.lambda_left_weight,
         "lambda_abscissa_fraction": fam.lambda_abscissa_fraction,
         "residual_check": fam.residual_check,
-    }
-    _emit_json(payload, args.out)
-    return _EXIT_OK
+    }, True
 
 
-def _verdict_exit(verdict: mvp.PropertyVerdict, out: str | None) -> int:
-    _emit_json(verdict.to_json_dict(), out)
-    return _EXIT_OK if verdict.holds else _EXIT_VIOLATED
-
-
-def _cmd_interval_check(args: argparse.Namespace) -> int:
+def _cmd_interval_check(args: argparse.Namespace) -> _Result:
     f = expr.parse(args.fn)
     verdict = args.checker(
         f, float(args.lam), args.trials, mvroot.Interval(args.a, args.b),
         args.seed, args.tol,
     )
-    return _verdict_exit(verdict, args.out)
+    return verdict.to_json_dict(), verdict.holds
 
 
-def _cmd_offset_check(args: argparse.Namespace) -> int:
+def _cmd_offset_check(args: argparse.Namespace) -> _Result:
     g = expr.parse(args.fn)
     verdict = args.checker(
         g, mvp.WeightSpec(float(args.lam), args.v), args.trials, args.box,
         args.samples, args.seed, args.dim, tol=args.tol,
         radius_range=(args.hmin, args.hmax), threads=args.threads,
     )
-    return _verdict_exit(verdict, args.out)
+    return verdict.to_json_dict(), verdict.holds
 
 
 def _one_point(args: argparse.Namespace) -> bool:
@@ -195,53 +191,46 @@ def _one_point(args: argparse.Namespace) -> bool:
     return args.at is not None
 
 
-def _cmd_laplacian(args: argparse.Namespace) -> int:
+def _cmd_laplacian(args: argparse.Namespace) -> _Result:
     g = expr.parse(args.fn)
     if _one_point(args):
-        payload = {
+        return {
             "function": args.fn,
             "point": list(args.at),
             "laplacian": calculus.laplacian(g, args.at),
-        }
-        _emit_json(payload, args.out)
-        return _EXIT_OK
+        }, True
     verdict = mvp.check_harmonicity(
         g, args.dim, args.points, args.box, args.seed, args.tol
     )
-    return _verdict_exit(verdict, args.out)
+    return verdict.to_json_dict(), verdict.holds
 
 
-def _cmd_vderiv(args: argparse.Namespace) -> int:
+def _cmd_vderiv(args: argparse.Namespace) -> _Result:
     g = expr.parse(args.fn)
     if _one_point(args):
-        payload = {
+        return {
             "function": args.fn,
             "point": list(args.at),
             "v": list(args.v),
             "directional_derivative": calculus.directional_derivative(
                 g, args.at, args.v
             ),
-        }
-        _emit_json(payload, args.out)
-        return _EXIT_OK
+        }, True
     verdict = mvp.check_v_constancy(
         g, args.v, args.dim, args.points, args.box, args.seed, args.tol
     )
-    return _verdict_exit(verdict, args.out)
+    return verdict.to_json_dict(), verdict.holds
 
 
-def _cmd_builtins(args: argparse.Namespace) -> int:
+def _cmd_builtins(args: argparse.Namespace) -> _Result:
     if args.name is None:
-        payload: dict[str, Any] = {"builtins": list(mvp.list_builtins())}
-    else:
-        ast = mvp.builtin_fields(args.name, args.dim)
-        payload = {
-            "name": args.name,
-            "dim": args.dim,
-            "expression": expr.print_canonical(ast),
-        }
-    _emit_json(payload, args.out)
-    return _EXIT_OK
+        return {"builtins": list(mvp.list_builtins())}, True
+    ast = mvp.builtin_fields(args.name, args.dim)
+    return {
+        "name": args.name,
+        "dim": args.dim,
+        "expression": expr.print_canonical(ast),
+    }, True
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +243,7 @@ def _add_fn(sub: argparse.ArgumentParser) -> None:
 
 def _add_randomized(sub: argparse.ArgumentParser, tol: float) -> None:
     sub.add_argument("--seed", type=_seed, default=0, help="64-bit seed (decimal or 0x-hex)")
-    sub.add_argument("--tol", type=float, default=tol, help="residual tolerance")
+    sub.add_argument("--tol", type=_tolerance, default=tol, help="residual tolerance")
 
 
 _OUT = argparse.ArgumentParser(add_help=False)
@@ -285,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subparser(sub, "abscissa", "locate every c in (a,b) with f'(c) = (f(b)-f(a))/(b-a)",
     )
     _add_fn(p)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=_finite, required=True)
+    p.add_argument("--b", type=_finite, required=True)
     p.add_argument("--grid", type=int, default=1024, help="scan cells for sign changes")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(handler=_cmd_abscissa)
 
     p = _subparser(sub, "sweep", (
@@ -297,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_fn(p)
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--hmin", type=float, required=True)
-    p.add_argument("--hmax", type=float, required=True)
+    p.add_argument("--x0", type=_finite, required=True)
+    p.add_argument("--hmin", type=_finite, required=True)
+    p.add_argument("--hmax", type=_finite, required=True)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="sweep tables default to CSV")
     p.set_defaults(handler=_cmd_sweep)
@@ -320,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = _subparser(sub, name, "test " + identity)
         _add_fn(p)
-        p.add_argument("--a", type=float, required=True, help="domain lower bound")
-        p.add_argument("--b", type=float, required=True, help="domain upper bound")
+        p.add_argument("--a", type=_finite, required=True, help="domain lower bound")
+        p.add_argument("--b", type=_finite, required=True, help="domain upper bound")
         if name == "check-midpoint":
             p.set_defaults(lam=0.5)
         else:
@@ -368,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=100_000)
         p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0),
                        help="center range lo,hi applied to every coordinate")
-        p.add_argument("--hmin", type=float, default=0.2, help="smallest radius")
-        p.add_argument("--hmax", type=float, default=1.0, help="largest radius")
+        p.add_argument("--hmin", type=_finite, default=0.2, help="smallest radius")
+        p.add_argument("--hmax", type=_finite, default=1.0, help="largest radius")
         p.add_argument("--threads", type=int, default=1,
                        help="sampling threads (the output never depends on it)")
         _add_randomized(p, tol=1e-9)
@@ -411,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        payload, holds = args.handler(args)
     except (expr.DomainError, integrate.McDomainError, mvroot.NoRootError) as exc:
         print(f"mvlab: numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
@@ -419,6 +408,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"mvlab: error: {message}", file=sys.stderr)
         return _EXIT_USAGE
+    try:  # RFC 8259 has no NaN or Infinity
+        text = payload if isinstance(payload, str) else json.dumps(
+            payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        print("mvlab: numeric failure: non-finite number in the output", file=sys.stderr)
+        return _EXIT_NUMERIC
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return _EXIT_OK if holds else _EXIT_VIOLATED
 
 
 if __name__ == "__main__":

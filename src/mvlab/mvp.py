@@ -59,11 +59,7 @@ class WeightSpec:
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
         if self.v is not None:
-            v = tuple(float(c) for c in self.v)
-            object.__setattr__(self, "v", v)
-            norm = math.sqrt(sum(c * c for c in v))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"v must be a unit vector (|v| = {norm!r})")
+            object.__setattr__(self, "v", calculus.unit_vector(self.v))
 
 
 @dataclass(frozen=True)
@@ -165,6 +161,12 @@ def check_weighted_property(
     )
 
 
+# Gauss-Legendre rule for the interval average of f' in check_interval_mvp:
+# 8 panels of 16 nodes, exact for polynomials of degree <= 31
+_INTERVAL_PANELS = 8
+_INTERVAL_NODES = 16
+
+
 def check_interval_mvp(
     f: Node,
     lam: float,
@@ -172,8 +174,6 @@ def check_interval_mvp(
     domain: Interval,
     seed: int,
     tol: float = 1e-8,
-    panels: int = 8,
-    nodes: int = 16,
 ) -> PropertyVerdict:
     """Does f'(x + (1-2*lam)*h) equal the quadrature average of f' over
     [x-h, x+h]?  Equivalent to check_weighted_property via the fundamental
@@ -189,9 +189,9 @@ def check_interval_mvp(
     for a, b in _sample_intervals(domain, trials, seed):
         x = 0.5 * (a + b)
         h = 0.5 * (b - a)
-        average = integrate.integrate_1d(fprime, x - h, x + h, panels, nodes) / (
-            2.0 * h
-        )
+        average = integrate.integrate_1d(
+            fprime, x - h, x + h, _INTERVAL_PANELS, _INTERVAL_NODES
+        ) / (2.0 * h)
         deriv = calculus.derivatives_1d(f, x + (1.0 - 2.0 * lam) * h)[1]
         residuals.append(abs(average - deriv) / (1.0 + abs(average)))
         cases.append({"x": x, "h": h})
@@ -208,7 +208,7 @@ def _as_box(box: Any, n: int) -> list[tuple[float, float]]:
     if len(box) != n:
         raise ValueError(f"box has {len(box)} coordinate ranges, need {n}")
     for lo, hi in box:
-        if not lo < hi:
+        if not (lo < hi and math.isfinite(hi - lo)):  # points are lo + u*(hi - lo)
             raise ValueError(f"invalid box range ({lo}, {hi})")
     return box
 

@@ -7,11 +7,15 @@ matters because the defect f' - slope may have several roots and flat
 stretches; derivative-based polishing is deliberately avoided.
 
 `sweep_lambda` shrinks symmetric intervals [x0-h, x0+h] and tracks how
-fast the abscissa nearest the midpoint approaches it: for smooth f with
-f''(x0) != 0 the gap |c - x0| scales like h^2, and the sweep fits that
-exponent from a log-log regression.  The fit needs f''(x0) != 0 to be
-meaningful; x^3 at 0 is the canonical degenerate case (the two abscissas
-stay at fixed fractions of the interval and lambda never approaches 1/2).
+fast the abscissa nearest the midpoint approaches it, fitting the
+exponent p of |c - x0| ~ h^p from a log-log regression.  For smooth f,
+c - x0 ~ f'''(x0) h^2 / (6 f''(x0)), so p = 2 needs both f''(x0) != 0
+and f'''(x0) != 0.  When f'''(x0) = 0 the first nonzero odd derivative
+f^(k)(x0), k >= 5, sets p = k - 1: x^2 + x^5 at 0 gives p = 4, and a
+quadratic keeps c at the midpoint exactly.  The fit needs f''(x0) != 0
+to be meaningful; x^3 at 0 is the canonical degenerate case (the two
+abscissas stay at fixed fractions of the interval and lambda never
+approaches 1/2).
 """
 
 from __future__ import annotations
@@ -190,9 +194,10 @@ def sweep_lambda(
     and (h, c, lam, |lam - 1/2|) recorded.  The reported order is the
     least-squares slope of log|c - x0| against log h, i.e. the exponent at
     which the abscissa converges to the midpoint (2 for smooth f with
-    f''(x0) != 0).  Rows whose deviation |lam - 1/2| is below 1e-13 are
-    indistinguishable from exact midpoints and are left out of the fit;
-    if every row is excluded the order is reported as undefined (None).
+    f''(x0) != 0 and f'''(x0) != 0; 4 for x^2 + x^5 at 0).  Rows whose
+    deviation |lam - 1/2| is below 1e-13 are indistinguishable from exact
+    midpoints and are left out of the fit; if every row is excluded the
+    order is reported as undefined (None).
     """
     if not 0.0 < h_min < h_max:
         raise ValueError("need 0 < h_min < h_max")

@@ -286,6 +286,10 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue()
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def test_criterion_9_cli_determinism():
     t0 = time.time()
     ok = True
@@ -295,7 +299,8 @@ def test_criterion_9_cli_determinism():
         same = code1 == code2 and out1 == out2
         ok = ok and same and out1 != ""
         if argv[0] != "sweep":
-            json.loads(out1)  # every JSON command emits valid JSON
+            # every JSON command emits valid JSON: no NaN or Infinity
+            json.loads(out1, parse_constant=_reject_constant)
     elapsed = time.time() - t0
     _report(
         9,

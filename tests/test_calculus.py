@@ -213,6 +213,14 @@ class TestDirectionalDerivative:
         with pytest.raises(ValueError, match="unit vector"):
             calculus.directional_derivative(expr.parse("x"), (0.0, 0.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("v", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_direction_rejected(self, v):
+        # a NaN direction used to pass the unit check and give d/dv y = 1.0
+        with pytest.raises(ValueError, match="unit vector"):
+            calculus.directional_derivative(expr.parse("y"), (1.0, 1.0), v)
+        with pytest.raises(ValueError, match="unit vector"):
+            calculus.directional_derivative_many(expr.parse("y"), [[1.0, 1.0]], v)
+
     def test_diagonal_direction(self):
         s = 1.0 / math.sqrt(2.0)
         got = calculus.directional_derivative(expr.parse("x^2 - y^2"), (1.0, 2.0), (s, s))

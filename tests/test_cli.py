@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -190,6 +191,48 @@ class TestCheckers:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("vderiv", "--fn", "y", "--dim", "2", "--v", "nan,1", "--at", "1,1"),
+        ("laplacian", "--fn", "y", "--dim", "2", "--at", "nan,1"),
+        ("abscissa", "--fn", "x^2", "--a", "0", "--b", "1", "--tol", "inf"),
+        ("laplacian", "--fn", "x", "--dim", "2", "--box=-inf,1", "--points", "3"),
+        ("check-interval", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.5",
+         "--tol", "nan"),
+        ("check-weighted", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "0.5",
+         "--tol", "-1"),
+        ("sweep", "--fn", "exp(x)", "--x0", "0", "--hmin", "1e-3", "--hmax", "1e400"),
+        ("ball-check", "--fn", "x", "--dim", "2", "--lambda", "1/2", "--hmax", "nan"),
+    ])
+    def test_non_finite_flag_is_usage_error(self, capsys, argv):
+        # each used to print NaN/Infinity, leak a RuntimeWarning or misreport
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: argument --" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("poly-verify", "--coeffs", "1,2", "--lambda", "1/0"),
+        ("poly-verify", "--coeffs", "1/0,2", "--lambda", "1/2"),
+        ("check-weighted", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1/0"),
+    ])
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        # Fraction("1/0") raised an uncaught ZeroDivisionError (exit 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "zero denominator in '1/0'" in err
+
+    def test_non_finite_payload_is_numeric_failure(self, capsys, monkeypatch, tmp_path):
+        # the encoder refuses NaN/Infinity, whatever handler produced them
+        monkeypatch.setattr(cli.calculus, "laplacian", lambda g, at: math.nan)
+        argv = ("laplacian", "--fn", "x", "--dim", "1", "--at", "0")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
+        target = tmp_path / "out.json"
+        assert run(capsys, *argv, "--out", str(target))[0] == 3
+        assert not target.exists()
+
 
 class TestLambdaFamily:
     def test_k2(self, capsys):
@@ -266,6 +309,15 @@ class TestCliContract:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["canonical"] == "(x1+1)"
+
+    def test_out_flag_keeps_violation_exit(self, capsys, tmp_path):
+        target = tmp_path / "verdict.json"
+        code, out, _ = run(
+            capsys, "check-weighted", "--fn", "x^3", "--lambda", "0.5",
+            "--a", "-2", "--b", "2", "--trials", "20", "--out", str(target),
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(target.read_text())["holds"] is False
 
     @pytest.mark.parametrize(
         "command,identity",

@@ -35,6 +35,12 @@ class TestWeightSpec:
             WeightSpec(0.3, (1.0, 1.0))
         WeightSpec(0.3, (0.0, 1.0))
 
+    @pytest.mark.parametrize("v", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_non_finite_direction_rejected(self, v):
+        # abs(nan - 1) > 1e-12 is False: a NaN norm used to pass the check
+        with pytest.raises(ValueError, match="unit vector"):
+            WeightSpec(0.3, v)
+
     def test_direction_required_off_half(self):
         g = builtin_fields("coordinate_1", 2)
         with pytest.raises(ValueError, match="direction"):
@@ -223,6 +229,12 @@ class TestHarmonicity:
         v = check_harmonicity(expr.parse("x^2 + y^2"), 2, 50, BOX, 1)
         assert not v.holds
         assert v.worst_residual == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("box", [(-math.inf, 1.0), (-1.7e308, 1.7e308)])
+    def test_box_width_must_be_finite(self, box):
+        # hi - lo overflowed in the point draw with a numpy RuntimeWarning
+        with pytest.raises(ValueError, match="invalid box range"):
+            check_harmonicity(expr.parse("x"), 2, 3, box, 1)
 
 
 class TestVConstancy:

@@ -168,6 +168,13 @@ class TestSweepLambda:
         assert sweep.fit_points == 20
         assert sweep.fitted_order == pytest.approx(2.0, abs=0.1)
 
+    def test_vanishing_third_derivative_order_four(self):
+        # c - x0 ~ f'''(x0) h^2 / (6 f''(x0)); with f'''(0) = 0 the x^5 term
+        # sets the gap, c ~ h^4 / 2, so order 2 needs f''' != 0 as well
+        sweep = mvroot.sweep_lambda(expr.parse("x^2 + x^5"), 0.0, 1e-2, 0.5, 8)
+        assert sweep.fit_points == 8
+        assert sweep.fitted_order == pytest.approx(4.0, abs=0.05)
+
     def test_cubic_at_inflection(self):
         # both abscissas stay at fixed interval fractions: lambda never
         # approaches 1/2, and |c - x0| shrinks only linearly with h
