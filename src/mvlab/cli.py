@@ -73,6 +73,14 @@ def _csv_rationals(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(part) for part in text.split(","))
 
 
+def _weight(lam: Fraction | float) -> float:
+    """A checker's weight as a float, checked to lie in (0, 1) before the
+    conversion, which would overflow on a huge rational such as 1e400."""
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie in (0, 1)")
+    return float(lam)
+
+
 def _float_or_none(v: float | None) -> float | None:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return None
@@ -168,7 +176,7 @@ def _cmd_lambda_family(args: argparse.Namespace) -> _Result:
 def _cmd_interval_check(args: argparse.Namespace) -> _Result:
     f = expr.parse(args.fn)
     verdict = args.checker(
-        f, float(args.lam), args.trials, mvroot.Interval(args.a, args.b),
+        f, _weight(args.lam), args.trials, mvroot.Interval(args.a, args.b),
         args.seed, args.tol,
     )
     return verdict.to_json_dict(), verdict.holds
@@ -177,7 +185,7 @@ def _cmd_interval_check(args: argparse.Namespace) -> _Result:
 def _cmd_offset_check(args: argparse.Namespace) -> _Result:
     g = expr.parse(args.fn)
     verdict = args.checker(
-        g, mvp.WeightSpec(float(args.lam), args.v), args.trials, args.box,
+        g, mvp.WeightSpec(_weight(args.lam), args.v), args.trials, args.box,
         args.samples, args.seed, args.dim, tol=args.tol,
         radius_range=(args.hmin, args.hmax), threads=args.threads,
     )

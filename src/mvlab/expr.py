@@ -435,6 +435,9 @@ def _small_int_pow(base: np.ndarray, p: int) -> np.ndarray:
     return out if out is not None else np.ones_like(base)
 
 
+_SMALL_INT_POWERS = frozenset(range(17))  # exponents _small_int_pow takes
+
+
 def _real_pow(base: Any, expo: Any) -> Any:
     array_in = isinstance(base, np.ndarray) or isinstance(expo, np.ndarray)
     if not array_in:
@@ -448,6 +451,8 @@ def _real_pow(base: Any, expo: Any) -> Any:
             return base**expo
         except OverflowError:
             raise _DomainViolation("overflow in power") from None
+    if getattr(expo, "ndim", 0) == 0 and float(expo) in _SMALL_INT_POWERS:
+        return _small_int_pow(base, int(expo))  # no domain check can fail
     expo_arr = np.asarray(expo)
     base_arr = np.asarray(base)
     fractional = expo_arr != np.floor(expo_arr)
@@ -455,8 +460,6 @@ def _real_pow(base: Any, expo: Any) -> Any:
         raise _DomainViolation("fractional power of a negative base")
     if np.any((base_arr == 0) & (expo_arr < 0)):
         raise _DomainViolation("zero raised to a negative power")
-    if expo_arr.ndim == 0 and not np.any(fractional) and 0 <= float(expo_arr) <= 16:
-        return _small_int_pow(base_arr, int(expo_arr))
     return np.power(base, expo)
 
 

@@ -9,7 +9,10 @@ where chunk i-1 stopped.  The thread count only decides how many chunks
 run at once, so every thread count gives the same bits.  Within a call,
 draws are made in place, in cache-sized blocks of consecutive counters,
 so blocking never changes a bit; buffers are local to each call, so
-threads share no scratch state.
+threads share no scratch state.  A Monte Carlo chunk is sampled and
+evaluated in order, in blocks of _EVAL_POINTS points that reuse one
+point buffer, so its peak memory is one values array plus one block; its
+moments are still taken over the whole values array.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
@@ -247,23 +250,27 @@ def sphere_area(n: int, h: float) -> float:
 # Sampling
 
 
-def _sample_columns(
-    spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool
-) -> np.ndarray:
-    """Contiguous (dim, count) columns of the points; the draws are those of
-    one gaussians(count*dim) call (point-major), then one radius per point.
-    A block holds an even number of coordinates: no Box-Muller pair straddles."""
-    n, seed, first = spec.dim, rng.seed, rng.counter
+def _points_per_block(dim: int) -> int:
+    return _BLOCK // dim // 2 * 2  # even, so no Box-Muller pair straddles blocks
+
+
+def _fill_columns(
+    spec: BallSpec, seed: int, first: int, count: int, q: int, out: np.ndarray,
+    on_sphere: bool,
+) -> None:
+    """Fill the (dim, m) columns `out` with points q..q+m-1 of a draw of
+    `count` points from counter `first`.  The draws are those of one
+    gaussians(count*dim) call (point-major), then one radius per point.
+    q is even (or q+m = count), so no Box-Muller pair straddles two calls."""
+    n = spec.dim
     pairs = (count * n + 1) // 2
-    rng.counter += _counters_used(count, n, on_sphere)
-    out = np.empty((n, count))
-    step = _BLOCK // n // 2 * 2  # points per block
+    step, end = _points_per_block(n), q + out.shape[1]
     g = np.empty(step * n)
-    for p in range(0, count, step):
-        m = min(step, count - p)
+    for p in range(q, end, step):
+        m = min(step, end - p)
         j, k = first + p * n // 2, (m * n + 1) // 2
         _box_muller(seed, j, j + pairs, g[: 2 * k])
-        rows, block = g[: m * n].reshape(m, n), out[:, p : p + m]
+        rows, block = g[: m * n].reshape(m, n), out[:, p - q : p - q + m]
         block[...] = rows.T
         if n >= 8:  # keep numpy's pairwise sum order for long rows
             norms = np.linalg.norm(rows, axis=1)
@@ -275,7 +282,13 @@ def _sample_columns(
             u = _fill_uniforms(seed, first + 2 * pairs + p, np.empty(m))
         block *= spec.radius if on_sphere else spec.radius * u ** (1.0 / n)
         block += np.asarray(spec.center)[:, None]
-    return out
+
+
+def _sample(spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool) -> np.ndarray:
+    out = np.empty((spec.dim, count))
+    _fill_columns(spec, rng.seed, rng.counter, count, 0, out, on_sphere)
+    rng.counter += _counters_used(count, spec.dim, on_sphere)
+    return out.T  # rows are points; the columns stay contiguous
 
 
 def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
@@ -284,12 +297,12 @@ def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     Direction: normalized standard Gaussian vector; radius: h * U^(1/dim);
     the polynomial radial law is what makes the density uniform in volume.
     """
-    return _sample_columns(spec, rng, count, on_sphere=False).T
+    return _sample(spec, rng, count, on_sphere=False)
 
 
 def sample_sphere_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     """`count` points uniform on the bounding sphere, shape (count, dim)."""
-    return _sample_columns(spec, rng, count, on_sphere=True).T
+    return _sample(spec, rng, count, on_sphere=True)
 
 
 def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
@@ -301,11 +314,12 @@ def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
 # Monte Carlo averages
 
 _CHUNK = 1 << 19
+_EVAL_POINTS = 1 << 15  # points sampled and evaluated per block of a chunk
 
 
 def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
     try:
-        # the samplers return views of contiguous columns
+        # points are rows over contiguous coordinate columns
         return expr.eval_many(g, dict(enumerate(points.T, start=1)))
     except expr.DomainError as err:
         if len(points) > 1:  # checks are elementwise: halve to the first bad row
@@ -316,14 +330,22 @@ def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
 
 
 def _chunk_moments(
-    g: Node, spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool
+    g: Node, spec: BallSpec, seed: int, first: int, count: int, on_sphere: bool
 ) -> tuple[int, float, float]:
-    sampler = sample_sphere_many if on_sphere else sample_ball_many
-    points = sampler(spec, rng, count)
-    values = _eval_at_points(g, points)
+    # blocks run in order, so a domain error names the chunk's first bad point
+    step = _points_per_block(spec.dim)
+    size = min(count, _EVAL_POINTS // step * step)  # whole sampler blocks
+    buf = np.empty((spec.dim, size))
+    values = np.empty(count)
+    for q in range(0, count, size):
+        cols = buf[:, : min(size, count - q)]
+        _fill_columns(spec, seed, first, count, q, cols, on_sphere)
+        values[q : q + cols.shape[1]] = _eval_at_points(g, cols.T)
     with np.errstate(over="ignore", invalid="ignore"):  # _mc_average checks the merge
         mean = float(np.mean(values))
-        m2 = float(np.sum((values - mean) ** 2))
+        values -= mean  # in place: the bits of np.sum((values - mean)**2)
+        values *= values
+        m2 = float(np.sum(values))
     return count, mean, m2
 
 
@@ -355,8 +377,8 @@ def _mc_average(
     stride = _counters_used(_CHUNK, spec.dim, on_sphere)
 
     def chunk(first: int) -> tuple[int, float, float]:
-        rng = CounterRng(seed, first // _CHUNK * stride)
-        return _chunk_moments(g, spec, rng, min(_CHUNK, samples - first), on_sphere)
+        return _chunk_moments(g, spec, seed, first // _CHUNK * stride,
+                              min(_CHUNK, samples - first), on_sphere)
 
     firsts = range(0, samples, _CHUNK)
     workers = min(threads, len(firsts))

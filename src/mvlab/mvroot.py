@@ -206,6 +206,8 @@ def sweep_lambda(
     ratio = (h_max / h_min) ** (1.0 / (steps - 1))
     hs = [h_min * ratio**i for i in range(steps)]
     hs[-1] = h_max
+    if not all(a < b for a, b in zip(hs, hs[1:])):  # h_max/h_min within a few ulps
+        raise ValueError("the h grid is not strictly increasing: widen [h_min, h_max]")
 
     rows: list[SweepRow] = []
     for h in hs:

@@ -78,6 +78,15 @@ class TestSweep:
         assert payload["fit"]["fitted_order"] is None
         assert all(row["lambda"] == 0.5 for row in payload["rows"])
 
+    def test_indistinct_h_values_are_usage_error(self, capsys):
+        # three of the four h values were the same float; a fitted order was printed
+        code, out, err = run(
+            capsys, "sweep", "--fn", "exp(x)", "--x0", "0",
+            "--hmin", "1", "--hmax", "1.0000000000000002", "--steps", "4",
+        )
+        assert (code, out) == (2, "")
+        assert "not strictly increasing" in err
+
 
 class TestCheckers:
     def test_check_midpoint_quadratic(self, capsys):
@@ -221,6 +230,18 @@ class TestCheckers:
         assert code == 2
         assert out == ""
         assert "zero denominator in '1/0'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check-weighted", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1e400"),
+        ("check-interval", "--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1e400"),
+        ("ball-check", "--fn", "x", "--dim", "2", "--lambda", "1e400"),
+        ("sphere-check", "--fn", "x", "--dim", "2", "--lambda=-1e400"),
+    ])
+    def test_huge_lambda_is_usage_error(self, capsys, argv):
+        # float(Fraction("1e400")) raised an uncaught OverflowError (exit 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "lambda must lie in (0, 1)" in err
 
     def test_non_finite_payload_is_numeric_failure(self, capsys, monkeypatch, tmp_path):
         # the encoder refuses NaN/Infinity, whatever handler produced them

@@ -290,6 +290,25 @@ class TestEvalMany:
         with pytest.raises(DomainError, match="non-finite value"):
             expr.eval_many(expr.parse(source), {"x": np.array([0.0, 2.0])})
 
+    @pytest.mark.parametrize("k", [0, 1, 4, 16])
+    def test_small_integer_power_equals_np_power(self, k):
+        # bases whose powers are exact doubles, negatives and signed zeros too
+        xs = np.array([-3.0, -2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        expected = np.power(xs, float(k)).tobytes()
+        assert expr.eval_many(expr.parse(f"x^{k}"), {"x": xs}).tobytes() == expected
+        # an exponent bound to a 0-d array takes the same path
+        assert expr.eval_many(expr.parse("x^y"), {"x": xs, "y": k}).tobytes() == expected
+
+    @pytest.mark.parametrize("source,xs,message", [
+        ("x^0.5", [1.0, -1.0], "fractional power of a negative base"),
+        ("x^2.5", [0.0, -4.0], "fractional power of a negative base"),
+        ("x^(-1)", [1.0, 0.0], "zero raised to a negative power"),
+        ("x^(-4)", [0.0, 2.0], "zero raised to a negative power"),
+    ])
+    def test_power_domain_still_checked(self, source, xs, message):
+        with pytest.raises(DomainError, match=message):
+            expr.eval_many(expr.parse(source), {"x": np.array(xs)})
+
     def test_multivariate(self):
         ast = expr.parse("x^2 - y^2")
         out = expr.eval_many(ast, {"x": np.array([1.0, 2.0]), "y": np.array([2.0, 1.0])})

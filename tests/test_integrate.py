@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -305,3 +306,48 @@ class TestMcAverages:
     def test_dimension_checked_against_field(self):
         with pytest.raises(ValueError):
             mc_ball_average(expr.parse("x3"), BallSpec((0.0, 0.0), 1.0), 10000, 0)
+
+
+def _reference_average(g, spec, samples, seed, on_sphere):
+    """The streamed average rebuilt from whole public sampler chunks."""
+    sampler = sample_sphere_many if on_sphere else sample_ball_many
+    rng, moments = CounterRng(seed), []
+    for first in range(0, samples, integrate._CHUNK):
+        points = sampler(spec, rng, min(integrate._CHUNK, samples - first))
+        values = expr.eval_many(g, dict(enumerate(points.T, start=1)))
+        mean = float(np.mean(values))
+        moments.append((len(values), mean, float(np.sum((values - mean) ** 2))))
+    n, mean, m2 = functools.reduce(integrate._merge_moments, moments)
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
+class TestStreamedChunks:
+    """Each chunk is sampled and evaluated in blocks of _EVAL_POINTS points;
+    the result must be the bits of sampling the whole chunk at once."""
+
+    @pytest.mark.parametrize("samples", [
+        1000, integrate._EVAL_POINTS - 1, integrate._EVAL_POINTS + 1,
+        integrate._CHUNK + 777,
+    ])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_bits_equal_whole_chunk_sampling(self, dim, samples):
+        g = expr.parse(f"exp(x1/3) * cos(x{dim}) + x1^4 - 3*x{dim}^2")
+        spec = BallSpec(tuple(0.1 * (i + 1) for i in range(dim)), 0.7)
+        for average, on_sphere in ((mc_ball_average, False), (mc_sphere_average, True)):
+            if on_sphere and dim == 1:
+                continue
+            expected = _reference_average(g, spec, samples, 99, on_sphere)
+            for threads in (1, 2):
+                est = average(g, spec, samples, 99, threads=threads)
+                assert (est.estimate, est.stderr) == expected
+
+    def test_first_bad_point_after_first_block(self):
+        spec = BallSpec((0.0, 0.0), 1.0)
+        points = sample_ball_many(spec, CounterRng(6), integrate._CHUNK)
+        # no point of the first one and a half blocks has x > c
+        c = float(np.max(points[: 3 * integrate._EVAL_POINTS // 2, 0]))
+        first_bad = int(np.argmax(points[:, 0] > c))
+        assert first_bad > integrate._EVAL_POINTS
+        with pytest.raises(McDomainError) as err:
+            mc_ball_average(expr.parse(f"sqrt({c!r} - x)"), spec, integrate._CHUNK, 6)
+        assert err.value.point == tuple(points[first_bad].tolist())

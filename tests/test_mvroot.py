@@ -202,3 +202,11 @@ class TestSweepLambda:
             mvroot.sweep_lambda(f, 0.0, 0.1, 0.01, 8)
         with pytest.raises(ValueError):
             mvroot.sweep_lambda(f, 0.0, 0.01, 0.1, 3)
+
+    @pytest.mark.parametrize("h_max,steps", [
+        (1.0000000000000002, 4), (1.0000000000000004, 4), (1.0000000000000009, 20),
+    ])
+    def test_repeated_h_values_rejected(self, h_max, steps):
+        # the geometric grid rounds several steps to the same float
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            mvroot.sweep_lambda(expr.parse("exp(x)"), 0.0, 1.0, h_max, steps)
