@@ -7,7 +7,7 @@ n-dimensional ball/sphere average analogues against harmonic fields.
 """
 
 from .calculus import (
-    Jet3,
+    Jet2,
     derivatives_1d,
     directional_derivative,
     directional_derivative_many,

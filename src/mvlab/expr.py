@@ -56,6 +56,7 @@ __all__ = [
     "eval_with",
     "print_canonical",
     "variables",
+    "check_dimension",
     "sole_variable",
     "neg",
 ]
@@ -188,6 +189,16 @@ def variables(ast: Node) -> tuple[int, ...]:
 
     walk(ast)
     return tuple(sorted(found))
+
+
+def check_dimension(ast: Node, n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_VARIABLES and `ast` uses no
+    variable past x_n."""
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"dimension must be 1..{MAX_VARIABLES}, got {n}")
+    used = variables(ast)
+    if used and used[-1] > n:
+        raise ValueError(f"expression uses x{used[-1]} but dimension is {n}")
 
 
 def sole_variable(ast: Node) -> int | None:
@@ -401,7 +412,7 @@ def print_canonical(ast: Node) -> str:
 #
 # One tree walker serves every numeric carrier type: plain floats (checked
 # scalar math), numpy arrays (vectorized, checked with np.any), and the
-# forward-mode Jet3 from mvlab.calculus, which implements the arithmetic
+# forward-mode Jet2 from mvlab.calculus, which implements the arithmetic
 # dunders plus sin/cos/exp/log/sqrt/tanh/abs methods and raises
 # _DomainViolation on domain faults.  `eval_with` is the one checked entry
 # point: it is where an inf or NaN result (for a jet, in any of its

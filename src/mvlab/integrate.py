@@ -56,7 +56,7 @@ __all__ = [
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
-MAX_DIM = 10
+MAX_DIM = expr.MAX_VARIABLES
 
 _U64 = np.uint64
 _INV_2_53 = float(2.0**-53)
@@ -369,9 +369,9 @@ def _mc_average(
     on_sphere: bool,
     threads: int = 1,
 ) -> McEstimate:
-    used = expr.variables(g)
-    if used and used[-1] > spec.dim:
-        raise ValueError(f"integrand uses x{used[-1]} but the ball is {spec.dim}-dimensional")
+    expr.check_dimension(g, spec.dim)
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     stride = _counters_used(_CHUNK, spec.dim, on_sphere)

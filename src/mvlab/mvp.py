@@ -201,9 +201,10 @@ def check_interval_mvp(
 
 
 def _as_box(box: Any, n: int) -> list[tuple[float, float]]:
-    box = list(box)
-    if box and isinstance(box[0], (int, float)):
-        box = [tuple(box)] * n
+    given = list(box)
+    box = [tuple(given)] * n if given and isinstance(given[0], (int, float)) else given
+    if any(len(r) != 2 for r in box):
+        raise ValueError(f"box {given} must give each coordinate a (lo, hi) range")
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != n:
         raise ValueError(f"box has {len(box)} coordinate ranges, need {n}")
@@ -329,6 +330,7 @@ def check_harmonicity(
 ) -> PropertyVerdict:
     """Is the sum of second partials of g zero at random points of `box`?
     Violation when |laplacian| > tol * (1 + |g|)."""
+    expr.check_dimension(g, n)
     pts = _sample_points(box, n, points, seed)
     values, deltas = calculus.laplacian_many(g, pts)
     return _verdict(
@@ -348,6 +350,7 @@ def check_v_constancy(
 ) -> PropertyVerdict:
     """Is the directional derivative of g along the unit vector v zero at
     random points of `box`?"""
+    expr.check_dimension(g, n)
     pts = _sample_points(box, n, points, seed)
     derivs = calculus.directional_derivative_many(g, pts, v)
     return _verdict(

@@ -129,7 +129,7 @@ def mp_univariate(source: str):
 
 
 def fd_derivatives(source: str, x0: float, step: float = 1e-5):
-    """Central-difference first/second/third derivatives at the stated
+    """Central-difference first/second derivatives at the stated
     step, evaluated in 50-digit arithmetic so the difference quotients are
     limited by truncation error only, not double roundoff."""
     with mpmath.workdps(50):
@@ -138,10 +138,7 @@ def fd_derivatives(source: str, x0: float, step: float = 1e-5):
         x = mpmath.mpf(x0)
         d1 = (f(x + h) - f(x - h)) / (2 * h)
         d2 = (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
-        d3 = (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (
-            2 * h**3
-        )
-        return float(d1), float(d2), float(d3)
+        return float(d1), float(d2)
 
 
 @pytest.fixture

@@ -255,6 +255,74 @@ class TestCheckers:
         assert not target.exists()
 
 
+class TestSecondOrderOnly:
+    """f, f' and f'' are finite here but f''' overflows; no command needs
+    more than two derivatives, so each gives its answer."""
+
+    def test_laplacian_at_point(self, capsys):
+        code, out, _ = run(capsys, "laplacian", "--fn", "exp(10*x)", "--dim", "1",
+                           "--at", "70.5")
+        assert code == 0
+        assert json.loads(out)["laplacian"] == 100 * math.exp(705)
+        assert '"laplacian": 1.5052538330631942e+308' in out
+
+    def test_abscissa(self, capsys):
+        # exp(100 x) on [6.9, 7]: c = 7 + ln((1 - e^-10)/10)/100
+        code, out, _ = run(capsys, "abscissa", "--fn", "exp(100*x)", "--a", "6.9",
+                           "--b", "7.0")
+        assert code == 0
+        (c,) = json.loads(out)["abscissas"]
+        want = 7 + math.log((1 - math.exp(-10)) / 10) / 100
+        assert abs(c - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("command,width", [
+        ("check-weighted", lambda case: case["b"] - case["a"]),
+        ("check-interval", lambda case: 2 * case["h"]),
+    ])
+    def test_midpoint_checkers(self, capsys, command, width):
+        # f'(midpoint) / slope = u / sinh(u) with u = 50 (b - a); the slope
+        # is ~1e305, so the residual |slope - f'| / (1 + |slope|) is 1 - u/sinh(u)
+        code, out, _ = run(capsys, command, "--fn", "exp(100*x)", "--a", "6.9",
+                           "--b", "7.0", "--lambda", "1/2", "--trials", "3")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["holds"] is False
+        assert len(payload["counterexamples"]) == 3
+        for case in payload["counterexamples"]:
+            u = 50 * width(case)
+            assert case["residual"] == pytest.approx(1 - u / math.sinh(u), rel=1e-9)
+
+
+class TestInputRanges:
+    @pytest.mark.parametrize("argv", [
+        ("laplacian", "--fn", "x", "--dim", "0", "--points", "3"),
+        ("laplacian", "--fn", "x", "--dim", "11", "--points", "3"),
+        ("vderiv", "--fn", "x", "--dim", "11", "--v", "1", "--points", "3"),
+    ])
+    def test_dimension_out_of_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"dimension must be 1..10, got {argv[4]}" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, capsys, threads):
+        code, out, err = run(capsys, "ball-check", "--fn", "x", "--dim", "2",
+                             "--lambda", "1/2", "--trials", "1", "--samples", "10000",
+                             "--threads", threads)
+        assert (code, out) == (2, "")
+        assert f"need threads >= 1, got {threads}" in err
+
+    @pytest.mark.parametrize("argv,box", [
+        (("ball-check", "--fn", "x", "--dim", "2", "--lambda", "1/2", "--trials", "1",
+          "--samples", "10000", "--box", "1,2,3"), "[1.0, 2.0, 3.0]"),
+        (("laplacian", "--fn", "x", "--dim", "2", "--box", "1"), "[1.0]"),
+    ])
+    def test_box_needs_pairs(self, capsys, argv, box):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"box {box} must give each coordinate a (lo, hi) range" in err
+
+
 class TestLambdaFamily:
     def test_k2(self, capsys):
         code, out, _ = run(capsys, "lambda-family", "--k", "2")

@@ -307,6 +307,14 @@ class TestMcAverages:
         with pytest.raises(ValueError):
             mc_ball_average(expr.parse("x3"), BallSpec((0.0, 0.0), 1.0), 10000, 0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one(self, threads):
+        # min(threads, chunks) <= 1 used to run the chunks inline
+        spec = BallSpec((0.0, 0.0), 1.0)
+        for average in (mc_ball_average, mc_sphere_average):
+            with pytest.raises(ValueError, match="need threads >= 1"):
+                average(expr.parse("x"), spec, 10000, 0, threads=threads)
+
 
 def _reference_average(g, spec, samples, seed, on_sphere):
     """The streamed average rebuilt from whole public sampler chunks."""

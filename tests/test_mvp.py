@@ -236,6 +236,19 @@ class TestHarmonicity:
         with pytest.raises(ValueError, match="invalid box range"):
             check_harmonicity(expr.parse("x"), 2, 3, box, 1)
 
+    @pytest.mark.parametrize("n", [0, 11])
+    def test_dimension_range(self, n):
+        v = (1.0,) + (0.0,) * (n - 1)
+        with pytest.raises(ValueError, match=f"dimension must be 1..10, got {n}"):
+            check_harmonicity(expr.parse("x"), n, 3, BOX, 1)
+        with pytest.raises(ValueError, match=f"dimension must be 1..10, got {n}"):
+            check_v_constancy(expr.parse("x"), v, n, 3, BOX, 1)
+
+    @pytest.mark.parametrize("box", [(1.0,), (1.0, 2.0, 3.0), [(0.0, 1.0), (0.0, 1.0, 2.0)]])
+    def test_box_ranges_are_pairs(self, box):
+        with pytest.raises(ValueError, match=r"must give each coordinate a \(lo, hi\) range"):
+            check_harmonicity(expr.parse("x"), 2, 3, box, 1)
+
 
 class TestVConstancy:
     def test_coordinate_constant_transverse(self):
