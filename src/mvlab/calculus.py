@@ -14,9 +14,9 @@ single tree walk per direction.
 `abs` is not differentiable at 0: jets raise a domain error when an `abs`
 argument is exactly 0 rather than silently picking a subgradient.
 
-Every pass goes through `expr.eval_with`, which raises a DomainError when
-any part of the resulting jet is inf or NaN; this module has no check of
-its own.
+Derivative functions check with `expr._finite` only the jet parts they
+read, so an f'' that overflows fails no caller that reads f'.  Jets reuse
+mvlab.expr's domain rules; only the derivative-only rules live here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import expr
-from .expr import Node, _DomainViolation, _REAL_CARRIERS, _broadcast
+from .expr import Node, _DomainViolation, _REAL_CARRIERS, _any, _broadcast, _finite
 
 __all__ = [
     "Jet2",
@@ -69,7 +69,6 @@ class Jet2:
 
     @property
     def parts(self) -> tuple[Any, Any, Any]:
-        """(f, d1, d2); `expr.eval_with` checks each for inf/NaN."""
         return (self.f, self.d1, self.d2)
 
     @staticmethod
@@ -138,10 +137,7 @@ class Jet2:
         return o * self._reciprocal()
 
     def _reciprocal(self) -> "Jet2":
-        t = self.f
-        if np.any(np.asarray(t) == 0):
-            raise _DomainViolation("division by zero")
-        inv = 1.0 / t
+        inv = expr._real_divide(1.0, self.f)
         return self._compose(inv, -inv * inv, 2.0 * inv**3)
 
     # -- composition with an outer univariate map ----------------------
@@ -165,8 +161,7 @@ class Jet2:
 
     def log(self) -> "Jet2":
         t = self.f
-        if np.any(np.asarray(t) <= 0):
-            raise _DomainViolation("log of a non-positive argument")
+        expr._check_log(t)
         inv = 1.0 / t
         return self._compose(np.log(t), inv, -inv * inv)
 
@@ -215,11 +210,9 @@ class Jet2:
     def _pow_const(self, p: Any) -> "Jet2":
         p = float(p)
         t = self.f
-        if not p.is_integer():
-            if np.any(np.asarray(t) <= 0):
-                raise _DomainViolation("fractional power of a non-positive base")
-        elif p < 0 and np.any(np.asarray(t) == 0):
-            raise _DomainViolation("zero raised to a negative power")
+        if not p.is_integer() and _any(t <= 0):
+            raise _DomainViolation("fractional power of a non-positive base")
+        expr._check_zero_power(t, p)
         return self._compose(
             t**p,
             _pow_term(t, p, p - 1.0),
@@ -232,21 +225,29 @@ class Jet2:
 
 
 def _jet(g: Node, env: dict[int, Any]) -> Jet2:
-    # one checked evaluation; a result that ignores the jets is a constant
+    # a result that ignores the jets is a constant; readers check its parts
     out = expr.eval_with(g, env)
     return out if isinstance(out, Jet2) else Jet2.constant(out)
 
 
+def _univariate_jet(f: Node, x: Any) -> Jet2:
+    return _jet(f, expr._bind_univariate(f, Jet2.variable(x)))
+
+
 def derivatives_1d(f: Node, x0: float) -> tuple[float, float, float]:
     """(f(x0), f'(x0), f''(x0)) by one order-2 jet pass."""
-    out = _jet(f, {expr.sole_variable(f) or 1: Jet2.variable(float(x0))})
-    return (float(out.f), float(out.d1), float(out.d2))
+    return tuple(float(_finite(f, part)) for part in _univariate_jet(f, float(x0)).parts)
+
+
+def _first_derivative(f: Node, x0: float) -> float:
+    """f'(x0) alone, for callers that read no other part of the jet."""
+    return float(_finite(f, _univariate_jet(f, float(x0)).d1))
 
 
 def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
     """f'(x) at every x in `xs`, computed in a single array-valued pass."""
     xs = np.asarray(xs, dtype=float)
-    return _broadcast(_jet(f, {expr.sole_variable(f) or 1: Jet2.variable(xs)}).d1, xs.shape)
+    return _broadcast(_finite(f, _univariate_jet(f, xs).d1), xs.shape)
 
 
 def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float]) -> Jet2:
@@ -276,7 +277,7 @@ def _laplacian_pass(g: Node, coords: Sequence[Any]) -> tuple[Any, Any]:
     passes = [_seeded_pass(g, coords, _axis(n, i)) for i in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         total = sum(p.d2 for p in passes)
-    if not np.isfinite(total).all():  # each pass is finite, their sum may not be
+    if not np.isfinite(total).all():  # an inf or NaN d2 makes the sum one
         raise expr.DomainError(g, "non-finite Laplacian")
     return passes[0].f, total
 
@@ -286,7 +287,7 @@ def _directional_pass(g: Node, coords: Sequence[Any], v: Sequence[float]) -> Any
         raise ValueError("direction and point dimensions differ")
     direction = unit_vector(v)
     expr.check_dimension(g, len(coords))
-    return _seeded_pass(g, coords, direction).d1
+    return _finite(g, _seeded_pass(g, coords, direction).d1)
 
 
 def unit_vector(v: Sequence[float]) -> tuple[float, ...]:
@@ -304,7 +305,7 @@ def gradient(g: Node, point: Sequence[float]) -> list[float]:
     n = len(point)
     expr.check_dimension(g, n)
     coords = [float(x) for x in point]
-    return [float(_seeded_pass(g, coords, _axis(n, i)).d1) for i in range(n)]
+    return [float(_finite(g, _seeded_pass(g, coords, _axis(n, i)).d1)) for i in range(n)]
 
 
 def laplacian(g: Node, point: Sequence[float]) -> float:
@@ -318,7 +319,7 @@ def laplacian_many(g: Node, points: Any) -> tuple[np.ndarray, np.ndarray]:
     coords = _columns(points)
     value, total = _laplacian_pass(g, coords)
     shape = coords[0].shape
-    return _broadcast(value, shape), _broadcast(total, shape)
+    return _broadcast(_finite(g, value), shape), _broadcast(total, shape)
 
 
 def directional_derivative(g: Node, point: Sequence[float], v: Sequence[float]) -> float:

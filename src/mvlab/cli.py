@@ -44,6 +44,22 @@ def _seed(text: str) -> int:
     return value
 
 
+# count flag bounds, checked before anything is allocated (the library refuses 0)
+_MAX_GRID = 1_000_000
+_MAX_STEPS = 1_000
+_MAX_POINTS = 100_000
+_MAX_TRIALS = 10_000
+
+
+def _count(bound: int):
+    """Argparse type for a count flag: an int no larger than `bound`."""
+    def count(text: str) -> int:
+        if int(text) > bound:
+            raise argparse.ArgumentTypeError(f"must be at most {bound}, got {text!r}")
+        return int(text)
+    return count
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -71,14 +87,6 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 def _csv_rationals(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(part) for part in text.split(","))
-
-
-def _weight(lam: Fraction | float) -> float:
-    """A checker's weight as a float, checked to lie in (0, 1) before the
-    conversion, which would overflow on a huge rational such as 1e400."""
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    return float(lam)
 
 
 def _float_or_none(v: float | None) -> float | None:
@@ -176,7 +184,7 @@ def _cmd_lambda_family(args: argparse.Namespace) -> _Result:
 def _cmd_interval_check(args: argparse.Namespace) -> _Result:
     f = expr.parse(args.fn)
     verdict = args.checker(
-        f, _weight(args.lam), args.trials, mvroot.Interval(args.a, args.b),
+        f, args.lam, args.trials, mvroot.Interval(args.a, args.b),
         args.seed, args.tol,
     )
     return verdict.to_json_dict(), verdict.holds
@@ -185,7 +193,7 @@ def _cmd_interval_check(args: argparse.Namespace) -> _Result:
 def _cmd_offset_check(args: argparse.Namespace) -> _Result:
     g = expr.parse(args.fn)
     verdict = args.checker(
-        g, mvp.WeightSpec(_weight(args.lam), args.v), args.trials, args.box,
+        g, mvp.WeightSpec(args.lam, args.v), args.trials, args.box,
         args.samples, args.seed, args.dim, tol=args.tol,
         radius_range=(args.hmin, args.hmax), threads=args.threads,
     )
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fn(p)
     p.add_argument("--a", type=_finite, required=True)
     p.add_argument("--b", type=_finite, required=True)
-    p.add_argument("--grid", type=int, default=1024, help="scan cells for sign changes")
+    p.add_argument("--grid", type=_count(_MAX_GRID), default=1024, help="scan cells for sign changes")
     p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(handler=_cmd_abscissa)
 
@@ -297,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=_finite, required=True)
     p.add_argument("--hmin", type=_finite, required=True)
     p.add_argument("--hmax", type=_finite, required=True)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--steps", type=_count(_MAX_STEPS), default=20)
+    p.add_argument("--grid", type=_count(_MAX_GRID), default=1024)
     p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="csv",
                    help="sweep tables default to CSV")
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--lambda", dest="lam", type=_rational, required=True,
                            help="weight in (0,1), e.g. 0.25 or 1/4")
-        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--trials", type=_count(_MAX_TRIALS), default=200)
         _add_randomized(p, tol=tol)
         p.set_defaults(handler=_cmd_interval_check, checker=checker)
 
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=_rational, required=True)
         p.add_argument("--v", type=_csv_floats, default=None,
                        help="unit direction, e.g. 1,0 (optional at lambda=1/2)")
-        p.add_argument("--trials", type=int, default=20)
+        p.add_argument("--trials", type=_count(_MAX_TRIALS), default=20)
         p.add_argument("--samples", type=int, default=100_000)
         p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0),
                        help="center range lo,hi applied to every coordinate")
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fn(p)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--at", type=_csv_floats, default=None, help="evaluate at one point")
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_count(_MAX_POINTS), default=100)
     p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0))
     _add_randomized(p, tol=1e-8)
     p.set_defaults(handler=_cmd_laplacian)
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--v", type=_csv_floats, required=True)
     p.add_argument("--at", type=_csv_floats, default=None)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_count(_MAX_POINTS), default=100)
     p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0))
     _add_randomized(p, tol=1e-8)
     p.set_defaults(handler=_cmd_vderiv)

@@ -207,6 +207,13 @@ class PolyVerdict:
     lam: Fraction
 
 
+def _check_lambda(lam: Fraction | float) -> Fraction | float:
+    # exact for a Fraction, so 1e400 is refused before float() overflows on it
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie in (0, 1)")
+    return lam
+
+
 def _weighted_point_power(lam: Fraction, m: int) -> dict[tuple[int, int], Fraction]:
     """(lam*a + (1-lam)*b)^m expanded into a^i b^(m-i) terms."""
     mu = 1 - lam
@@ -222,9 +229,7 @@ def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> MvtResidual:
     is a mean value abscissa of p on *every* interval (a polynomial
     identity, so the a < b restriction is immaterial).
     """
-    lam = _as_fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    lam = _check_lambda(_as_fraction(lam))
     if p.degree is not None and p.degree > MAX_DEGREE:
         raise ValueError(f"degree {p.degree} exceeds expansion cap {MAX_DEGREE}")
 

@@ -18,6 +18,10 @@ tanh, abs.  The constants ``pi`` and ``e`` expand to number literals at
 parse time.  Variables are x1..x10; ``x``, ``y``, ``z`` are aliases for
 x1, x2, x3.
 
+Rules stated once here, for every caller: variable names in
+`_variable_index`, the dimension 1..10 in `check_dimension`, and the real
+domain in `_real_divide`, `_real_pow` and `_real_apply` (also for jets).
+
 Parsing and evaluation are pure; AST nodes are immutable and freely
 shareable across threads.
 """
@@ -191,12 +195,12 @@ def variables(ast: Node) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def check_dimension(ast: Node, n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_VARIABLES and `ast` uses no
-    variable past x_n."""
+def check_dimension(ast: Node | None, n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_VARIABLES and `ast` (when
+    given) uses no variable past x_n."""
     if not 1 <= n <= MAX_VARIABLES:
         raise ValueError(f"dimension must be 1..{MAX_VARIABLES}, got {n}")
-    used = variables(ast)
+    used = variables(ast) if ast is not None else ()
     if used and used[-1] > n:
         raise ValueError(f"expression uses x{used[-1]} but dimension is {n}")
 
@@ -208,6 +212,11 @@ def sole_variable(ast: Node) -> int | None:
     if len(used) > 1:
         raise ValueError(f"expression is not univariate (uses {used})")
     return used[0] if used else None
+
+
+def _bind_univariate(ast: Node, value: Any) -> dict[int, Any]:
+    # a constant `ast` ignores its binding, so it gets x1
+    return {sole_variable(ast) or 1: value}
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +364,23 @@ class _Parser:
         return self.variable(tok)
 
     def variable(self, tok: Token) -> Var:
-        name = tok.text
-        if name in _ALIASES:
-            return Var(_ALIASES[name])
-        m = re.fullmatch(r"x([0-9]+)", name)
-        if m:
-            index = int(m.group(1))
-            if 1 <= index <= MAX_VARIABLES:
-                return Var(index)
-            raise ParseError(
-                f"variable index out of range (x1..x{MAX_VARIABLES}): {name!r}",
-                tok.offset,
-            )
-        raise ParseError(f"unknown identifier {name!r}", tok.offset)
+        return Var(_variable_index(tok.text, tok.offset))
+
+
+def _variable_index(name: str, offset: int | None = None) -> int:
+    """Index of the variable called `name` (an alias x, y, z or x1..x10),
+    for parsed text and binding keys alike; raises ParseError."""
+    if name in _ALIASES:
+        return _ALIASES[name]
+    m = re.fullmatch(r"x([0-9]+)", name)
+    if not m:
+        raise ParseError(f"unknown identifier {name!r}", offset)
+    index = int(m.group(1))
+    if not 1 <= index <= MAX_VARIABLES:
+        raise ParseError(
+            f"variable index out of range (x1..x{MAX_VARIABLES}): {name!r}", offset
+        )
+    return index
 
 
 def parse(source: str) -> Node:
@@ -410,24 +423,34 @@ def print_canonical(ast: Node) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# One tree walker serves every numeric carrier type: plain floats (checked
-# scalar math), numpy arrays (vectorized, checked with np.any), and the
-# forward-mode Jet2 from mvlab.calculus, which implements the arithmetic
-# dunders plus sin/cos/exp/log/sqrt/tanh/abs methods and raises
-# _DomainViolation on domain faults.  `eval_with` is the one checked entry
-# point: it is where an inf or NaN result (for a jet, in any of its
-# `parts`) becomes a DomainError, for every carrier type.
+# One tree walker serves every numeric carrier type: plain floats (values
+# from math), numpy arrays (values from np) and the forward-mode Jet2 from
+# mvlab.calculus, which implements the arithmetic dunders plus
+# sin/cos/exp/log/sqrt/tanh/abs methods and raises _DomainViolation on
+# domain faults.  Each domain rule below takes a float or an array alike.
+# `eval_with` turns an inf or NaN real result into a DomainError; a jet's
+# reader checks the parts it reads with `_finite`.
 
 # real carrier types; anything else (a jet) brings its own arithmetic
 _REAL_CARRIERS = (int, float, np.floating, np.ndarray)
 
 
+def _any(mask: Any) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _check_log(v: Any) -> None:
+    if _any(v <= 0):
+        raise _DomainViolation("log of a non-positive argument")
+
+
+def _check_zero_power(base: Any, expo: Any) -> None:
+    if _any((base == 0) & (expo < 0)):
+        raise _DomainViolation("zero raised to a negative power")
+
+
 def _real_divide(lhs: Any, rhs: Any) -> Any:
-    if isinstance(rhs, np.ndarray):
-        if np.any(rhs == 0):
-            raise _DomainViolation("division by zero")
-        return lhs / rhs
-    if rhs == 0:
+    if _any(rhs == 0):
         raise _DomainViolation("division by zero")
     return lhs / rhs
 
@@ -451,69 +474,49 @@ _SMALL_INT_POWERS = frozenset(range(17))  # exponents _small_int_pow takes
 
 def _real_pow(base: Any, expo: Any) -> Any:
     array_in = isinstance(base, np.ndarray) or isinstance(expo, np.ndarray)
-    if not array_in:
-        base = float(base)
-        expo = float(expo)
-        if base < 0 and not expo.is_integer():
-            raise _DomainViolation("fractional power of a negative base")
-        if base == 0 and expo < 0:
-            raise _DomainViolation("zero raised to a negative power")
-        try:
-            return base**expo
-        except OverflowError:
-            raise _DomainViolation("overflow in power") from None
-    if getattr(expo, "ndim", 0) == 0 and float(expo) in _SMALL_INT_POWERS:
+    if array_in and np.ndim(expo) == 0 and float(expo) in _SMALL_INT_POWERS:
         return _small_int_pow(base, int(expo))  # no domain check can fail
-    expo_arr = np.asarray(expo)
-    base_arr = np.asarray(base)
-    fractional = expo_arr != np.floor(expo_arr)
-    if np.any((base_arr < 0) & fractional):
+    if _any((base < 0) & (expo % 1 != 0)):  # an infinite exponent is not an integer
         raise _DomainViolation("fractional power of a negative base")
-    if np.any((base_arr == 0) & (expo_arr < 0)):
-        raise _DomainViolation("zero raised to a negative power")
-    return np.power(base, expo)
+    _check_zero_power(base, expo)
+    if array_in:
+        return np.power(base, expo)
+    try:
+        return float(base) ** float(expo)
+    except OverflowError:
+        raise _DomainViolation("overflow in power") from None
 
 
 def _real_apply(fn: str, v: Any) -> Any:
-    if isinstance(v, np.ndarray):
-        if fn == "log":
-            if np.any(v <= 0):
-                raise _DomainViolation("log of a non-positive argument")
-            return np.log(v)
-        if fn == "sqrt":
-            if np.any(v < 0):
-                raise _DomainViolation("sqrt of a negative argument")
-            return np.sqrt(v)
-        return getattr(np, fn)(v)
-    v = float(v)
     if fn == "log":
-        if v <= 0:
-            raise _DomainViolation("log of a non-positive argument")
-        return math.log(v)
-    if fn == "sqrt":
-        if v < 0:
-            raise _DomainViolation("sqrt of a negative argument")
-        return math.sqrt(v)
-    if fn == "abs":
-        return abs(v)
+        _check_log(v)
+    elif fn == "sqrt" and _any(v < 0):
+        raise _DomainViolation("sqrt of a negative argument")
+    if isinstance(v, np.ndarray):
+        return getattr(np, fn)(v)
     try:
-        return getattr(math, fn)(v)
-    except OverflowError:
-        raise _DomainViolation(f"overflow in {fn}") from None
+        return getattr(math, "fabs" if fn == "abs" else fn)(float(v))
+    except (OverflowError, ValueError):  # exp overflows; sin, cos of inf
+        raise _DomainViolation(f"{fn} of {float(v)!r} is not a finite real") from None
+
+
+def _finite(ast: Node, value: Any) -> Any:
+    """`value` (a float or an array); a DomainError on `ast` if any is inf or NaN."""
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+            else math.isfinite(value)):
+        raise DomainError(ast, "non-finite value")
+    return value
 
 
 def eval_with(ast: Node, env: Mapping[int, Any]) -> Any:
     """Low-level evaluation: `env` maps variable index -> value, where a
     value may be a float, a numpy array, or a forward-mode number.  Domain
     faults surface as DomainError carrying the offending sub-expression;
-    an inf or NaN anywhere in the result is a DomainError on `ast`."""
+    an inf or NaN real result is a DomainError on `ast`.  A forward-mode
+    result is returned unchecked, for its reader to check what it reads."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = _walk(ast, env)
-    for part in getattr(out, "parts", (out,)):
-        if not (np.isfinite(part).all() if isinstance(part, np.ndarray)
-                else math.isfinite(part)):
-            raise DomainError(ast, "non-finite value")
-    return out
+    return _finite(ast, out) if isinstance(out, _REAL_CARRIERS) else out
 
 
 def _broadcast(x: Any, shape: tuple[int, ...]) -> np.ndarray:
@@ -563,21 +566,9 @@ def _walk(ast: Node, env: Mapping[int, Any]) -> Any:
 
 
 def _normalize_bindings(bindings: Mapping[Any, Any]) -> dict[int, Any]:
-    env: dict[int, Any] = {}
-    for key, value in bindings.items():
-        if isinstance(key, int):
-            index = key
-        elif key in _ALIASES:
-            index = _ALIASES[key]
-        else:
-            m = re.fullmatch(r"x([0-9]+)", str(key))
-            if not m:
-                raise ValueError(f"not a variable name: {key!r}")
-            index = int(m.group(1))
-        if not 1 <= index <= MAX_VARIABLES:
-            raise ValueError(f"variable index out of range: {key!r}")
-        env[index] = value
-    return env
+    # an integer key k names x_k
+    return {_variable_index(f"x{key}" if isinstance(key, int) else str(key)): value
+            for key, value in bindings.items()}
 
 
 def evaluate(ast: Node, bindings: Mapping[Any, Any] | None = None) -> float:

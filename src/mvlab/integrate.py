@@ -16,8 +16,9 @@ moments are still taken over the whole values array.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
-Sphere averages in n = 1 are rejected: the "sphere" degenerates to two
-points, which the interval checkers in mvlab.mvp already cover.
+`_check_ball` states the ball rules (dimension, positive finite radius),
+`_check_sphere` the sphere rule: n = 1 degenerates to two points, which
+the interval checkers in mvlab.mvp already cover.
 
 Integrand values are checked in `expr.eval_with`; an inf or NaN merged
 mean or standard error (a sum of huge finite values can overflow) is a
@@ -55,8 +56,6 @@ __all__ = [
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-
-MAX_DIM = expr.MAX_VARIABLES
 
 _U64 = np.uint64
 _INV_2_53 = float(2.0**-53)
@@ -147,14 +146,23 @@ class BallSpec:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "dim", int(dim))
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension must be 1..{MAX_DIM}, got {self.dim}")
+        _check_ball(self.dim, self.radius)
         if len(self.center) != self.dim:
             raise ValueError("center length does not match dim")
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("center coordinates must be finite")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive and finite")
+
+
+def _check_ball(n: int, h: float) -> None:
+    expr.check_dimension(None, n)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("radius must be positive and finite")
+
+
+def _check_sphere(n: int) -> None:
+    expr.check_dimension(None, n)
+    if n < 2:
+        raise ValueError("a sphere needs dimension >= 2; in n = 1 use the interval checkers")
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ Integrand = Union[Node, Callable[[np.ndarray], np.ndarray]]
 def _integrand_values(f: Integrand, points: np.ndarray) -> np.ndarray:
     if isinstance(f, (expr.Num, expr.Var, expr.Neg, expr.BinOp, expr.Call)):
         # a constant integrand still binds x1 so eval_many returns an array
-        return expr.eval_many(f, {expr.sole_variable(f) or 1: points})
+        return expr.eval_many(f, expr._bind_univariate(f, points))
     return np.asarray(f(points), dtype=float)
 
 
@@ -216,10 +224,7 @@ def integrate_1d(
 
 def ball_volume(n: int, h: float) -> float:
     """Volume of the n-ball of radius h via the two-step recursion."""
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be 1..{MAX_DIM}, got {n}")
-    if not h > 0:
-        raise ValueError("radius must be positive")
+    _check_ball(n, h)
     return _volume_recursion(n, h)
 
 
@@ -234,15 +239,7 @@ def _volume_recursion(n: int, h):
 
 def sphere_area(n: int, h: float) -> float:
     """Surface area of the (n-1)-sphere of radius h: n * V_n(h) / h."""
-    if n == 1:
-        raise ValueError(
-            "n = 1 has no sphere average (two boundary points); "
-            "use the interval checkers instead"
-        )
-    if not 2 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be 2..{MAX_DIM}, got {n}")
-    if not h > 0:
-        raise ValueError("radius must be positive")
+    _check_sphere(n)
     return n * ball_volume(n, h) / h
 
 
@@ -409,6 +406,5 @@ def mc_sphere_average(
     g: Node, spec: BallSpec, samples: int, seed: int, threads: int = 1
 ) -> McEstimate:
     """Monte Carlo estimate of the average of g over the bounding sphere."""
-    if spec.dim < 2:
-        raise ValueError("sphere averages need dimension >= 2")
+    _check_sphere(spec.dim)
     return _mc_average(g, spec, samples, seed, on_sphere=True, threads=threads)

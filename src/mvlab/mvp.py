@@ -18,6 +18,11 @@ them to `_verdict`, which raises a DomainError when any of them is inf or
 NaN: a residual that could not be computed is a numeric failure, never a
 verdict.  The evaluations behind the residuals are checked in
 `expr.eval_with` and the Monte Carlo moments in `integrate`.
+
+Each input rule is checked in one place: lambda in (0, 1) by
+`exactpoly._check_lambda`, the dimension by `expr.check_dimension`,
+ball radius and sphere rules in `integrate`, the box in `_as_box`, and the
+trial or point count, with every seeded instance draw, in `_draw`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import calculus, expr, integrate, mvroot
+from . import calculus, exactpoly, expr, integrate, mvroot
 from .expr import Node
 from .integrate import BallSpec, CounterRng
 from .mvroot import Interval
@@ -56,8 +61,7 @@ class WeightSpec:
     v: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {self.lam}")
+        object.__setattr__(self, "lam", float(exactpoly._check_lambda(self.lam)))
         if self.v is not None:
             object.__setattr__(self, "v", calculus.unit_vector(self.v))
 
@@ -123,12 +127,21 @@ def _verdict(
     )
 
 
+def _draw(ranges: Sequence[tuple[float, float]], count: int, seed: int, what: str) -> np.ndarray:
+    """`count` seeded points lo + u * (hi - lo) in the box `ranges`, one per row."""
+    if count < 1:
+        raise ValueError(f"need {what} >= 1")
+    k = len(ranges)
+    lo, hi = np.array(ranges, dtype=float).T
+    return lo + CounterRng(seed).uniforms(count * k).reshape(count, k) * (hi - lo)
+
+
 def _sample_intervals(
     domain: Interval, trials: int, seed: int
 ) -> list[tuple[float, float]]:
     """Seeded random subintervals of `domain`, separated by >= width/100
     so secant slopes stay clear of catastrophic cancellation."""
-    u1, u2 = CounterRng(seed).uniforms(2 * trials).reshape(trials, 2).T
+    u1, u2 = _draw([(0.0, 1.0)] * 2, trials, seed, "trials").T
     gap = domain.width / 100.0
     a = domain.a + u1 * (domain.width - gap)
     b = a + gap + u2 * (domain.b - a - gap)
@@ -145,15 +158,12 @@ def check_weighted_property(
 ) -> PropertyVerdict:
     """Does (f(b) - f(a))/(b - a) = f'(lam*a + (1-lam)*b) on random
     subintervals of `domain`?  Residuals are relative to 1 + |slope|."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    lam = WeightSpec(lam).lam
     intervals = _sample_intervals(domain, trials, seed)
     residuals = []
     for a, b in intervals:
         slope = mvroot.average_slope(f, Interval(a, b))
-        deriv = calculus.derivatives_1d(f, lam * a + (1.0 - lam) * b)[1]
+        deriv = calculus._first_derivative(f, lam * a + (1.0 - lam) * b)
         residuals.append(abs(slope - deriv) / (1.0 + abs(slope)))
     return _verdict(
         f"weighted-mean-value(lambda={lam!r})", f, tol, seed, residuals,
@@ -180,10 +190,7 @@ def check_interval_mvp(
     theorem of calculus under x = (a+b)/2, h = (b-a)/2; both exist so that
     equivalence itself can be tested.  Shares interval sampling with
     check_weighted_property given the same (domain, trials, seed)."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    lam = WeightSpec(lam).lam
     fprime = lambda xs: calculus.first_derivative_many(f, xs)  # noqa: E731
     residuals, cases = [], []
     for a, b in _sample_intervals(domain, trials, seed):
@@ -192,7 +199,7 @@ def check_interval_mvp(
         average = integrate.integrate_1d(
             fprime, x - h, x + h, _INTERVAL_PANELS, _INTERVAL_NODES
         ) / (2.0 * h)
-        deriv = calculus.derivatives_1d(f, x + (1.0 - 2.0 * lam) * h)[1]
+        deriv = calculus._first_derivative(f, x + (1.0 - 2.0 * lam) * h)
         residuals.append(abs(average - deriv) / (1.0 + abs(average)))
         cases.append({"x": x, "h": h})
     return _verdict(
@@ -238,12 +245,9 @@ def _check_offset_average(
     threads: int,
     on_sphere: bool,
 ) -> PropertyVerdict:
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    expr.check_dimension(g, n)
     if samples < 10_000:
         raise ValueError("need samples >= 10000")
-    if on_sphere and n < 2:
-        raise ValueError("sphere checks need dimension >= 2")
     ranges = _as_box(box, n)
     v = _require_direction(w, n)
     h_lo, h_hi = radius_range
@@ -251,17 +255,15 @@ def _check_offset_average(
         raise ValueError(f"invalid radius range {radius_range}")
     average = integrate.mc_sphere_average if on_sphere else integrate.mc_ball_average
 
-    rng = CounterRng(seed)
-    draws = rng.uniforms(trials * (n + 1)).reshape(trials, n + 1)
-    lo, hi = np.array(ranges).T
-    centers = (lo + draws[:, :n] * (hi - lo)).tolist()
-    radii = (h_lo + draws[:, n] * (h_hi - h_lo)).tolist()
+    # the radius range is one more coordinate of the draw; hmin == hmax is fine
+    draws = _draw(ranges + [(h_lo, h_hi)], trials, seed, "trials")
+    centers, radii = draws[:, :n].tolist(), draws[:, n].tolist()
     residuals, allowed, cases = [], [], []
     for t, (center, h) in enumerate(zip(centers, radii)):
         offset = (1.0 - 2.0 * w.lam) * h
         probe = tuple(c + offset * vi for c, vi in zip(center, v))
         spec = BallSpec(center, h, n)
-        est = average(g, spec, samples, rng.split(t).seed, threads)
+        est = average(g, spec, samples, CounterRng(seed).split(t).seed, threads)
         lhs = expr.evaluate(g, {i + 1: probe[i] for i in range(n)})
         residuals.append(abs(lhs - est.estimate))
         allowed.append(max(tol, 4.0 * est.stderr))
@@ -314,10 +316,7 @@ def check_sphere_mvp(
 
 def _sample_points(box: Any, n: int, count: int, seed: int) -> np.ndarray:
     """`count` seeded points uniform in `box`, shape (count, n)."""
-    if count < 1:
-        raise ValueError("need points >= 1")
-    lo, hi = np.array(_as_box(box, n)).T
-    return lo + CounterRng(seed).uniforms(count * n).reshape(count, n) * (hi - lo)
+    return _draw(_as_box(box, n), count, seed, "points")
 
 
 def check_harmonicity(
@@ -394,8 +393,7 @@ def builtin_fields(name: str, n: int) -> Node:
     in the remaining coordinates;
     affine: 2 + sum_i i*xi with fixed coefficients.
     """
-    if not 1 <= n <= expr.MAX_VARIABLES:
-        raise ValueError(f"dimension must be 1..{expr.MAX_VARIABLES}, got {n}")
+    expr.check_dimension(None, n)
     if name.startswith("harmonic2d_"):
         try:
             k = int(name.removeprefix("harmonic2d_"))

@@ -72,9 +72,8 @@ class AbscissaResult:
 
 def average_slope(f: Node, iv: Interval) -> float:
     """(f(b) - f(a)) / (b - a)."""
-    x = expr.sole_variable(f) or 1  # a constant f ignores its binding
-    fa = expr.evaluate(f, {x: iv.a})
-    fb = expr.evaluate(f, {x: iv.b})
+    fa = expr.evaluate(f, expr._bind_univariate(f, iv.a))
+    fb = expr.evaluate(f, expr._bind_univariate(f, iv.b))
     return (fb - fa) / iv.width
 
 
@@ -133,7 +132,7 @@ def find_abscissas(
         return AbscissaResult(iv, slope, (), (), True)
 
     def phi(c: float) -> float:
-        return calculus.derivatives_1d(f, c)[1] - slope
+        return calculus._first_derivative(f, c) - slope
 
     roots: list[float] = []
     for i in range(1, grid):

@@ -293,6 +293,108 @@ class TestSecondOrderOnly:
             assert case["residual"] == pytest.approx(1 - u / math.sinh(u), rel=1e-9)
 
 
+class TestReadOnlyWhatIsPrinted:
+    """On [7, 7.04], f <= e^704 ~ 5.5e305 and f' stay finite but f'' =
+    1e4 e^704 overflows; a command that prints no f'' gives its answer."""
+
+    def test_abscissa(self, capsys):
+        code, out, _ = run(capsys, "abscissa", "--fn", "exp(100*x)", "--a", "7.0",
+                           "--b", "7.04")
+        assert code == 0
+        (c,) = json.loads(out)["abscissas"]
+        want = 7 + math.log((math.exp(4) - 1) / 4) / 100
+        assert abs(c - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("command,width", [
+        ("check-weighted", lambda case: case["b"] - case["a"]),
+        ("check-interval", lambda case: 2 * case["h"]),
+    ])
+    def test_midpoint_checkers(self, capsys, command, width):
+        code, out, _ = run(capsys, command, "--fn", "exp(100*x)", "--a", "7.0",
+                           "--b", "7.04", "--lambda", "1/2", "--trials", "3")
+        assert code == 1
+        for case in json.loads(out)["counterexamples"]:
+            u = 50 * width(case)
+            assert case["residual"] == pytest.approx(1 - u / math.sinh(u), rel=1e-9)
+
+    def test_directional_derivative(self, capsys):
+        code, out, _ = run(capsys, "vderiv", "--fn", "exp(100*x)+y", "--dim", "2",
+                           "--v", "1,0", "--at", "7.03,0")
+        assert code == 0
+        got = json.loads(out)["directional_derivative"]
+        assert got == pytest.approx(100 * math.exp(703), rel=1e-13)
+
+    def test_laplacian_still_fails(self, capsys):
+        # the Laplacian is f'' itself
+        code, out, err = run(capsys, "laplacian", "--fn", "exp(100*x)", "--dim", "1",
+                             "--at", "7.04")
+        assert (code, out) == (3, "")
+        assert "non-finite Laplacian" in err
+
+    def test_infinite_sine_argument_is_numeric_failure(self, capsys):
+        # used to exit 2 with a bare "math domain error"
+        code, out, err = run(capsys, "abscissa", "--fn", "sin(1e300*x)", "--a", "1e9",
+                             "--b", "2e9")
+        assert (code, out) == (3, "")
+        assert "numeric failure" in err
+
+
+_CHECKS = {  # subcommand -> argv that passes every input rule
+    "check-weighted": ["--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1/2",
+                       "--trials", "2"],
+    "check-interval": ["--fn", "x^2", "--a", "0", "--b", "1", "--lambda", "1/2",
+                       "--trials", "2"],
+    "ball-check": ["--fn", "x", "--dim", "2", "--lambda", "1/2", "--trials", "1",
+                   "--samples", "10000"],
+    "sphere-check": ["--fn", "x", "--dim", "2", "--lambda", "1/2", "--trials", "1",
+                     "--samples", "10000"],
+    "poly-verify": ["--coeffs", "1,2", "--lambda", "1/2"],
+    "laplacian": ["--fn", "x", "--dim", "1", "--points", "3"],
+    "vderiv": ["--fn", "x", "--dim", "1", "--v", "1", "--points", "3"],
+    "builtins": ["--name", "radial_sq", "--dim", "2"],
+    "abscissa": ["--fn", "x^3", "--a", "0", "--b", "1"],
+    "sweep": ["--fn", "exp(x)", "--x0", "0", "--hmin", "0.001", "--hmax", "0.1"],
+}
+
+
+def _rule_cases():
+    # (subcommand, flag, bad value, the rule's one message)
+    def case(rule, command, flag, value, message):
+        return pytest.param(command, flag, value, message, id=f"{rule}-{command}{flag}={value}")
+
+    for command in ("check-weighted", "check-interval", "ball-check", "sphere-check",
+                    "poly-verify"):
+        for lam in ("0", "1", "-1/2", "1e400"):
+            yield case("lambda", command, "--lambda", lam, "lambda must lie in (0, 1)")
+    for command in ("ball-check", "sphere-check", "laplacian", "vderiv", "builtins"):
+        for dim in ("0", "11"):
+            yield case("dimension", command, "--dim", dim, f"dimension must be 1..10, got {dim}")
+    yield case("sphere", "sphere-check", "--dim", "1", "a sphere needs dimension >= 2")
+    for command in ("check-weighted", "check-interval", "ball-check", "sphere-check"):
+        yield case("count", command, "--trials", "0", "need trials >= 1")
+        yield case("bound", command, "--trials", "10001", "must be at most 10000")
+    for command in ("laplacian", "vderiv"):
+        yield case("count", command, "--points", "0", "need points >= 1")
+        yield case("bound", command, "--points", "100001", "must be at most 100000")
+    for command in ("abscissa", "sweep"):
+        yield case("bound", command, "--grid", "1000001", "must be at most 1000000")
+    yield case("bound", "sweep", "--steps", "1001", "must be at most 1000")
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("command,flag,value,message", list(_rule_cases()))
+    def test_rule_is_usage_error(self, capsys, command, flag, value, message):
+        # the bad value comes last and wins; the form --flag=value lets it be negative
+        code, out, err = run(capsys, command, *_CHECKS[command], f"{flag}={value}")
+        assert (code, out) == (2, ""), err
+        assert err.count(message) == 1, err
+
+    @pytest.mark.parametrize("command", sorted(_CHECKS))
+    def test_base_argv_passes(self, capsys, command):
+        # so each failure above comes from the one bad value
+        assert run(capsys, command, *_CHECKS[command])[0] in (0, 1)
+
+
 class TestInputRanges:
     @pytest.mark.parametrize("argv", [
         ("laplacian", "--fn", "x", "--dim", "0", "--points", "3"),

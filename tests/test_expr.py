@@ -315,6 +315,38 @@ class TestEvalMany:
         assert list(out) == [-3.0, 3.0]
 
 
+class TestSharedRules:
+    """Scalar and array evaluation, and parsed text and binding keys, obey
+    one rule each."""
+
+    @pytest.mark.parametrize("source", ["sin(1e300*x)", "cos(1e300*x)"])
+    def test_infinite_trig_argument_is_domain_error(self, source):
+        # the scalar path raised a bare "math domain error" ValueError
+        ast = expr.parse(source)
+        with pytest.raises(DomainError):
+            expr.evaluate(ast, {"x": 1e9})
+        with pytest.raises(DomainError):
+            expr.eval_many(ast, {"x": np.array([1e9])})
+
+    @pytest.mark.parametrize("name", [
+        "x", "y", "z", "x1", "x7", "x10", "x01", "x0", "x11", "x123", "w", "X1", "xx", "x_1",
+    ])
+    def test_binding_names_follow_the_parser(self, name):
+        try:
+            index = expr.parse(name).index
+        except ParseError as err:
+            message = str(err).removesuffix(" (at offset 0)")
+            with pytest.raises(ValueError) as scalar:
+                expr.evaluate(expr.parse("1"), {name: 2.0})
+            with pytest.raises(ValueError) as array:
+                expr.eval_many(expr.parse("1"), {name: np.array([2.0])})
+            assert str(scalar.value) == str(array.value) == message
+        else:
+            ast = expr.parse(f"x{index}")
+            assert expr.evaluate(ast, {name: 2.0}) == 2.0
+            assert expr.eval_many(ast, {name: np.array([2.0])}).tolist() == [2.0]
+
+
 class TestSoleVariable:
     def test_univariate(self):
         assert expr.sole_variable(expr.parse("sin(x3) + x3^2")) == 3

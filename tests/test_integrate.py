@@ -133,6 +133,13 @@ class TestBallGeometry:
         with pytest.raises(ValueError):
             sphere_area(1, 1.0)
 
+    @pytest.mark.parametrize("geometry", [ball_volume, sphere_area])
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, geometry, h):
+        # h = inf gave inf for the volume and NaN for the area
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            geometry(3, h)
+
     def test_ballspec_validation(self):
         with pytest.raises(ValueError):
             BallSpec((0.0, 0.0), -1.0)
