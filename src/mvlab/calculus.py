@@ -14,8 +14,9 @@ single tree walk per direction.
 `abs` is not differentiable at 0: jets raise a domain error when an `abs`
 argument is exactly 0 rather than silently picking a subgradient.
 
-Derivative functions check with `expr._finite` only the jet parts they
-read, so an f'' that overflows fails no caller that reads f'.  Jets reuse
+Every jet's value is checked with `expr._finite`; derivative parts are
+checked by the function that reads them, so an f'' that overflows fails no
+caller that reads f' (`derivatives_1d` returns f'' unchecked).  Jets reuse
 mvlab.expr's domain rules; only the derivative-only rules live here.
 """
 
@@ -225,9 +226,12 @@ class Jet2:
 
 
 def _jet(g: Node, env: dict[int, Any]) -> Jet2:
-    # a result that ignores the jets is a constant; readers check its parts
+    # the value is checked here, the derivative parts by their readers
     out = expr.eval_with(g, env)
-    return out if isinstance(out, Jet2) else Jet2.constant(out)
+    if isinstance(out, Jet2):
+        _finite(g, out.f)
+        return out
+    return Jet2.constant(out)  # ignores the jets; checked in eval_with
 
 
 def _univariate_jet(f: Node, x: Any) -> Jet2:
@@ -235,13 +239,11 @@ def _univariate_jet(f: Node, x: Any) -> Jet2:
 
 
 def derivatives_1d(f: Node, x0: float) -> tuple[float, float, float]:
-    """(f(x0), f'(x0), f''(x0)) by one order-2 jet pass."""
-    return tuple(float(_finite(f, part)) for part in _univariate_jet(f, float(x0)).parts)
-
-
-def _first_derivative(f: Node, x0: float) -> float:
-    """f'(x0) alone, for callers that read no other part of the jet."""
-    return float(_finite(f, _univariate_jet(f, float(x0)).d1))
+    """(f(x0), f'(x0), f''(x0)) by one order-2 jet pass.  f and f' are
+    checked finite; f'' is returned as computed (inf or NaN when it
+    overflows), so a caller that reads it checks it."""
+    j = _univariate_jet(f, float(x0))
+    return float(j.f), float(_finite(f, j.d1)), float(j.d2)
 
 
 def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
@@ -319,7 +321,7 @@ def laplacian_many(g: Node, points: Any) -> tuple[np.ndarray, np.ndarray]:
     coords = _columns(points)
     value, total = _laplacian_pass(g, coords)
     shape = coords[0].shape
-    return _broadcast(_finite(g, value), shape), _broadcast(total, shape)
+    return _broadcast(value, shape), _broadcast(total, shape)
 
 
 def directional_derivative(g: Node, point: Sequence[float], v: Sequence[float]) -> float:

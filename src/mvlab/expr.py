@@ -367,19 +367,21 @@ class _Parser:
         return Var(_variable_index(tok.text, tok.offset))
 
 
-def _variable_index(name: str, offset: int | None = None) -> int:
-    """Index of the variable called `name` (an alias x, y, z or x1..x10),
-    for parsed text and binding keys alike; raises ParseError."""
-    if name in _ALIASES:
-        return _ALIASES[name]
-    m = re.fullmatch(r"x([0-9]+)", name)
-    if not m:
-        raise ParseError(f"unknown identifier {name!r}", offset)
-    index = int(m.group(1))
+def _variable_index(key: str | int, offset: int | None = None) -> int:
+    """Index of the variable `key` names (an alias x, y, z, a name x1..x10
+    or, as a binding key, the index itself), for parsed text and binding
+    keys alike; raises ParseError naming the key as given."""
+    if isinstance(key, int) and not isinstance(key, bool):
+        index = key
+    elif key in _ALIASES:
+        return _ALIASES[key]
+    else:
+        m = re.fullmatch(r"x([0-9]+)", str(key))
+        if not m:
+            raise ParseError(f"unknown identifier {key!r}", offset)
+        index = int(m.group(1))
     if not 1 <= index <= MAX_VARIABLES:
-        raise ParseError(
-            f"variable index out of range (x1..x{MAX_VARIABLES}): {name!r}", offset
-        )
+        raise ParseError(f"variable index out of range (x1..x{MAX_VARIABLES}): {key!r}", offset)
     return index
 
 
@@ -565,24 +567,18 @@ def _walk(ast: Node, env: Mapping[int, Any]) -> Any:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def _normalize_bindings(bindings: Mapping[Any, Any]) -> dict[int, Any]:
-    # an integer key k names x_k
-    return {_variable_index(f"x{key}" if isinstance(key, int) else str(key)): value
-            for key, value in bindings.items()}
-
-
 def evaluate(ast: Node, bindings: Mapping[Any, Any] | None = None) -> float:
     """Evaluate `ast` at the given variable bindings (keys may be names
     like "x", "x2" or 1-based indices).  Standard real semantics; raises
     UnboundVariableError or DomainError (also for an inf or NaN result)."""
-    env = _normalize_bindings(bindings or {})
-    return float(eval_with(ast, {k: float(v) for k, v in env.items()}))
+    env = {_variable_index(k): float(v) for k, v in (bindings or {}).items()}
+    return float(eval_with(ast, env))
 
 
 def eval_many(ast: Node, bindings: Mapping[Any, Iterable[float]]) -> np.ndarray:
     """Vectorized evaluation over numpy arrays of binding values.  All
     arrays must share a shape; a constant expression broadcasts to it.
     An inf or NaN anywhere in the result raises DomainError."""
-    env = {k: np.asarray(v, dtype=float) for k, v in _normalize_bindings(bindings).items()}
+    env = {_variable_index(k): np.asarray(v, dtype=float) for k, v in bindings.items()}
     shape = next(iter(env.values())).shape if env else ()
     return _broadcast(eval_with(ast, env), shape)

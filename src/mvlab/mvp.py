@@ -61,7 +61,9 @@ class WeightSpec:
     v: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", float(exactpoly._check_lambda(self.lam)))
+        # exact first (float() overflows on 1e400), then rounded (1e-400 -> 0.0)
+        lam = float(exactpoly._check_lambda(self.lam))
+        object.__setattr__(self, "lam", exactpoly._check_lambda(lam))
         if self.v is not None:
             object.__setattr__(self, "v", calculus.unit_vector(self.v))
 
@@ -163,7 +165,7 @@ def check_weighted_property(
     residuals = []
     for a, b in intervals:
         slope = mvroot.average_slope(f, Interval(a, b))
-        deriv = calculus._first_derivative(f, lam * a + (1.0 - lam) * b)
+        deriv = calculus.derivatives_1d(f, lam * a + (1.0 - lam) * b)[1]
         residuals.append(abs(slope - deriv) / (1.0 + abs(slope)))
     return _verdict(
         f"weighted-mean-value(lambda={lam!r})", f, tol, seed, residuals,
@@ -199,7 +201,7 @@ def check_interval_mvp(
         average = integrate.integrate_1d(
             fprime, x - h, x + h, _INTERVAL_PANELS, _INTERVAL_NODES
         ) / (2.0 * h)
-        deriv = calculus._first_derivative(f, x + (1.0 - 2.0 * lam) * h)
+        deriv = calculus.derivatives_1d(f, x + (1.0 - 2.0 * lam) * h)[1]
         residuals.append(abs(average - deriv) / (1.0 + abs(average)))
         cases.append({"x": x, "h": h})
     return _verdict(

@@ -132,7 +132,7 @@ def find_abscissas(
         return AbscissaResult(iv, slope, (), (), True)
 
     def phi(c: float) -> float:
-        return calculus._first_derivative(f, c) - slope
+        return calculus.derivatives_1d(f, c)[1] - slope
 
     roots: list[float] = []
     for i in range(1, grid):

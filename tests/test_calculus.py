@@ -71,6 +71,19 @@ class TestDerivatives1d:
         with pytest.raises(DomainError, match="non-finite value"):
             calculus.first_derivative_many(f, [0.5, 1.0])
 
+    def test_second_derivative_is_returned_unchecked(self):
+        # f and f' stay finite at 7.04, f'' = 1e4 exp(704) overflows
+        f, d1, d2 = calculus.derivatives_1d(expr.parse("exp(100*x)"), 7.04)
+        assert math.isfinite(f) and math.isfinite(d1) and d2 == math.inf
+
+    def test_infinite_value_is_domain_error(self):
+        # f' = 1, but the value is inf
+        f = expr.parse("x + 1e200*1e200")
+        with pytest.raises(DomainError, match="non-finite value"):
+            calculus.derivatives_1d(f, 0.0)
+        with pytest.raises(DomainError, match="non-finite value"):
+            calculus.first_derivative_many(f, [0.0, 1.0])
+
 
 def _ad_fd_points(lo, hi):
     # interior points, clear of the domain edges used by log/sqrt corpus entries

@@ -331,6 +331,18 @@ class TestReadOnlyWhatIsPrinted:
         assert (code, out) == (3, "")
         assert "non-finite Laplacian" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check-interval", "--fn", "x + 1e200*1e200", "--a", "0", "--b", "1",
+         "--lambda", "1/2"),
+        ("abscissa", "--fn", "x + 1e200*1e200", "--a", "0", "--b", "1"),
+        ("vderiv", "--fn", "x + 1e200*1e200", "--dim", "1", "--v", "1", "--at", "0"),
+    ])
+    def test_infinite_value_with_finite_derivative_fails(self, capsys, argv):
+        # f' = 1 everywhere, but the value every jet carries is inf
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "non-finite value" in err
+
     def test_infinite_sine_argument_is_numeric_failure(self, capsys):
         # used to exit 2 with a bare "math domain error"
         code, out, err = run(capsys, "abscissa", "--fn", "sin(1e300*x)", "--a", "1e9",
@@ -365,6 +377,10 @@ def _rule_cases():
     for command in ("check-weighted", "check-interval", "ball-check", "sphere-check",
                     "poly-verify"):
         for lam in ("0", "1", "-1/2", "1e400"):
+            yield case("lambda", command, "--lambda", lam, "lambda must lie in (0, 1)")
+    for command in ("check-weighted", "check-interval", "ball-check", "sphere-check"):
+        # rationals in (0, 1) that round to the float 0.0 or 1.0
+        for lam in ("1e-400", "0.99999999999999999"):
             yield case("lambda", command, "--lambda", lam, "lambda must lie in (0, 1)")
     for command in ("ball-check", "sphere-check", "laplacian", "vderiv", "builtins"):
         for dim in ("0", "11"):

@@ -134,6 +134,16 @@ class TestEvaluate:
         assert expr.evaluate(ast, {"x2": 5}) == 5.0
         assert expr.evaluate(ast, {2: 5}) == 5.0
 
+    @pytest.mark.parametrize("key,message", [
+        (-1, "variable index out of range (x1..x10): -1"),
+        (11, "variable index out of range (x1..x10): 11"),
+        (True, "unknown identifier True"),
+    ])
+    def test_bad_binding_key_is_named_as_given(self, key, message):
+        with pytest.raises(ParseError) as err:
+            expr.evaluate(expr.parse("1"), {key: 5})
+        assert str(err.value) == message
+
     def test_fractional_power_of_negative(self):
         with pytest.raises(DomainError):
             expr.evaluate(expr.parse("x^0.5"), {"x": -2.0})
