@@ -11,8 +11,9 @@ in a single pass.  Components may be floats or numpy arrays with
 elementwise semantics, so a whole grid of derivative evaluations costs a
 single tree walk per direction.
 
-`abs` is not differentiable at 0: jets raise a domain error when an `abs`
-argument is exactly 0 rather than silently picking a subgradient.
+`Jet2.apply` takes every function's derivatives from one table.  `abs` is
+not differentiable at 0: jets raise a domain error when an `abs` argument
+is exactly 0 rather than silently picking a subgradient.
 
 Every jet's value is checked with `expr._finite`; derivative parts are
 checked by the function that reads them, so an f'' that overflows fails no
@@ -50,6 +51,25 @@ def _pow_term(t: Any, coeff: float, q: float) -> Any:
     if coeff == 0:
         return 0.0
     return coeff * t**q
+
+
+# fn -> (u'(t), u''(t)) from t and u(t), for every name in expr.FUNCTIONS;
+# each keeps the operation order of its closed form, so no bit changes
+_DERIVATIVES = {
+    "sin": lambda t, u: (np.cos(t), -u),
+    "cos": lambda t, u: (-np.sin(t), -u),
+    "exp": lambda t, u: (u, u),
+    "log": lambda t, u: (inv := 1.0 / t, -inv * inv),
+    "sqrt": lambda t, u: (0.5 / u, -0.25 / (u * t)),
+    "tanh": lambda t, u: (s := 1.0 - u * u, -2.0 * u * s),  # s = sech^2
+    "abs": lambda t, u: (np.sign(t), 0.0),
+}
+
+# fn -> (where u' is undefined though u is not, message); log's is expr._check_log
+_NOT_DIFFERENTIABLE = {
+    "sqrt": (lambda t: t <= 0, "sqrt of a non-positive argument (derivative undefined at 0)"),
+    "abs": (lambda t: t == 0, "abs is not differentiable at 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -148,44 +168,15 @@ class Jet2:
         g1 = self.d1
         return Jet2(u0, u1 * g1, u2 * g1 * g1 + u1 * self.d2)
 
-    def sin(self) -> "Jet2":
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._compose(s, c, -s)
-
-    def cos(self) -> "Jet2":
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._compose(c, -s, -c)
-
-    def exp(self) -> "Jet2":
-        e = np.exp(self.f)
-        return self._compose(e, e, e)
-
-    def log(self) -> "Jet2":
+    def apply(self, fn: str) -> "Jet2":
+        """u(self) for the function u named `fn` (a member of expr.FUNCTIONS)."""
         t = self.f
-        expr._check_log(t)
-        inv = 1.0 / t
-        return self._compose(np.log(t), inv, -inv * inv)
-
-    def sqrt(self) -> "Jet2":
-        t = self.f
-        if np.any(np.asarray(t) <= 0):
-            raise _DomainViolation(
-                "sqrt of a non-positive argument (derivative undefined at 0)"
-            )
-        r = np.sqrt(t)
-        return self._compose(r, 0.5 / r, -0.25 / (r * t))
-
-    def tanh(self) -> "Jet2":
-        t = np.tanh(self.f)
-        s = 1.0 - t * t  # sech^2
-        return self._compose(t, s, -2.0 * t * s)
-
-    def abs(self) -> "Jet2":
-        t = self.f
-        if np.any(np.asarray(t) == 0):
-            raise _DomainViolation("abs is not differentiable at 0")
-        sign = np.sign(t)
-        return self._compose(np.abs(t), sign, 0.0)
+        if fn == "log":
+            expr._check_log(t)
+        elif fn in _NOT_DIFFERENTIABLE and _any(_NOT_DIFFERENTIABLE[fn][0](t)):
+            raise _DomainViolation(_NOT_DIFFERENTIABLE[fn][1])
+        u = getattr(np, fn)(t)
+        return self._compose(u, *_DERIVATIVES[fn](t, u))
 
     def __pow__(self, other: Any) -> "Jet2":
         if isinstance(other, Jet2) and not any(
@@ -200,7 +191,7 @@ class Jet2:
         # a varying or array-valued exponent: x^y = exp(y log x)
         if np.any(np.asarray(self.f) <= 0):
             raise _DomainViolation("power with varying exponent needs a positive base")
-        return (o * self.log()).exp()
+        return (o * self.apply("log")).apply("exp")
 
     def __rpow__(self, other: Any) -> "Jet2":
         o = Jet2._lift(other)

@@ -40,7 +40,7 @@ _EXIT_NUMERIC = 3
 def _seed(text: str) -> int:
     value = int(text, 0)  # decimal or 0x-hex
     if not 0 <= value < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text!r}")
     return value
 
 

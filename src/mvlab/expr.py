@@ -18,9 +18,11 @@ tanh, abs.  The constants ``pi`` and ``e`` expand to number literals at
 parse time.  Variables are x1..x10; ``x``, ``y``, ``z`` are aliases for
 x1, x2, x3.
 
-Rules stated once here, for every caller: variable names in
-`_variable_index`, the dimension 1..10 in `check_dimension`, and the real
-domain in `_real_divide`, `_real_pow` and `_real_apply` (also for jets).
+Rules stated once here, for every caller: the tokens in `_TOKEN_RE`,
+variable names in `_variable_index` (binding keys through `_bind`, which
+refuses two keys for one variable), the dimension 1..10 in
+`check_dimension`, and the real domain in `_real_divide`, `_real_pow` and
+`_real_apply` (also for jets).
 
 Parsing and evaluation are pure; AST nodes are immutable and freely
 shareable across threads.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -231,10 +233,16 @@ class Token:
     value: float = 0.0
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_WS_RE = re.compile(r"\s+")
-_OPS = set("+-*/^")
+# one alternative per token kind, tried in this order; "ws" is skipped
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^])
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+""", re.VERBOSE)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -242,35 +250,15 @@ def tokenize(source: str) -> list[Token]:
     with the byte offset of the first illegal character."""
     tokens: list[Token] = []
     pos = 0
-    n = len(source)
-    while pos < n:
-        ws = _WS_RE.match(source, pos)
-        if ws:
-            pos = ws.end()
-            continue
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            tokens.append(Token("num", m.group(), pos, float(m.group())))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            tokens.append(Token("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        ch = source[pos]
-        if ch in _OPS:
-            tokens.append(Token("op", ch, pos))
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, pos))
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, pos))
-        elif ch == ",":
-            tokens.append(Token("comma", ch, pos))
-        else:
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
             raise LexError(source, pos)
-        pos += 1
-    tokens.append(Token("end", "", n))
+        kind, text = m.lastgroup, m.group()
+        if kind != "ws":
+            tokens.append(Token(kind, text, pos, float(text) if kind == "num" else 0.0))
+        pos = m.end()
+    tokens.append(Token("end", "", len(source)))
     return tokens
 
 
@@ -291,6 +279,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops: str) -> str | None:
+        """Consume the next token if it is one of the operators `ops`; its text."""
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok.text
+        return None
+
     def parse(self) -> Node:
         node = self.expr()
         tok = self.peek()
@@ -300,28 +296,24 @@ class _Parser:
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+-"):
             node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*/"):
             node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
+        if self.accept("-"):
             return neg(self.unary())
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.accept("^"):
             return BinOp("^", base, self.unary())  # right-associative
         return base
 
@@ -428,7 +420,7 @@ def print_canonical(ast: Node) -> str:
 # One tree walker serves every numeric carrier type: plain floats (values
 # from math), numpy arrays (values from np) and the forward-mode Jet2 from
 # mvlab.calculus, which implements the arithmetic dunders plus
-# sin/cos/exp/log/sqrt/tanh/abs methods and raises _DomainViolation on
+# `apply(fn)` for every name in FUNCTIONS and raises _DomainViolation on
 # domain faults.  Each domain rule below takes a float or an array alike.
 # `eval_with` turns an inf or NaN real result into a DomainError; a jet's
 # reader checks the parts it reads with `_finite`.
@@ -561,24 +553,35 @@ def _walk(ast: Node, env: Mapping[int, Any]) -> Any:
             v = _walk(ast.arg, env)
             if isinstance(v, _REAL_CARRIERS):
                 return _real_apply(ast.fn, v)
-            return getattr(v, ast.fn)()
+            return v.apply(ast.fn)
     except _DomainViolation as exc:
         raise DomainError(ast, str(exc)) from None
     raise TypeError(f"not an AST node: {ast!r}")
+
+
+def _bind(bindings: Mapping[Any, Any], convert: Callable[[Any], Any]) -> dict[int, Any]:
+    """`bindings` keyed by variable index, each value converted; refuses
+    two keys that name one variable (x and x1, or "x" and 1)."""
+    env: dict[int, Any] = {}
+    for key, value in bindings.items():
+        index = _variable_index(key)
+        if index in env:
+            raise ParseError(f"more than one binding names x{index}: {key!r}")
+        env[index] = convert(value)
+    return env
 
 
 def evaluate(ast: Node, bindings: Mapping[Any, Any] | None = None) -> float:
     """Evaluate `ast` at the given variable bindings (keys may be names
     like "x", "x2" or 1-based indices).  Standard real semantics; raises
     UnboundVariableError or DomainError (also for an inf or NaN result)."""
-    env = {_variable_index(k): float(v) for k, v in (bindings or {}).items()}
-    return float(eval_with(ast, env))
+    return float(eval_with(ast, _bind(bindings or {}, float)))
 
 
 def eval_many(ast: Node, bindings: Mapping[Any, Iterable[float]]) -> np.ndarray:
     """Vectorized evaluation over numpy arrays of binding values.  All
     arrays must share a shape; a constant expression broadcasts to it.
     An inf or NaN anywhere in the result raises DomainError."""
-    env = {_variable_index(k): np.asarray(v, dtype=float) for k, v in bindings.items()}
+    env = _bind(bindings, lambda v: np.asarray(v, dtype=float))
     shape = next(iter(env.values())).shape if env else ()
     return _broadcast(eval_with(ast, env), shape)

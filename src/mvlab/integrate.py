@@ -5,14 +5,16 @@ stream with seed s is mix64(s + (i+1) * GOLDEN), where mix64 is the
 splitmix64 finalizer.  Outputs are pure functions of (seed, counter), so
 a Monte Carlo average divides its samples into chunks that read
 consecutive counter ranges of one stream: chunk i starts at the counter
-where chunk i-1 stopped.  The thread count only decides how many chunks
-run at once, so every thread count gives the same bits.  Within a call,
-draws are made in place, in cache-sized blocks of consecutive counters,
-so blocking never changes a bit; buffers are local to each call, so
-threads share no scratch state.  A Monte Carlo chunk is sampled and
-evaluated in order, in blocks of _EVAL_POINTS points that reuse one
-point buffer, so its peak memory is one values array plus one block; its
-moments are still taken over the whole values array.
+where chunk i-1 stopped.  `_box_muller` alone lays out Box-Muller pairs,
+and `_counters_used` states what a ball or sphere draw consumes.  The
+thread count only decides how many chunks run at once, so every thread
+count gives the same bits.  Within a call, draws are made in place, in
+cache-sized blocks of consecutive counters, so blocking never changes a
+bit; buffers are local to each call, so threads share no scratch state.
+A Monte Carlo chunk is sampled and evaluated in order, in blocks of
+_EVAL_POINTS points that reuse one point buffer, so its peak memory is
+one values array plus one block; its moments are still taken over the
+whole values array.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
@@ -84,10 +86,12 @@ def _fill_uniforms(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     return np.multiply(t, _INV_2_53, out=out)
 
 
-def _box_muller(seed: int, first_u1: int, first_u2: int, out: np.ndarray) -> None:
-    """Fill `out` (even length) with normals from u1, u2 draws at the counters."""
-    r = _fill_uniforms(seed, first_u1, np.empty(len(out) // 2))
-    theta = _fill_uniforms(seed, first_u2, np.empty(len(out) // 2))
+def _box_muller(seed: int, first: int, pairs: int, j: int, out: np.ndarray) -> None:
+    """Fill `out` (even length) with the normals of pairs j, j+1, ... of a
+    draw of `pairs` Box-Muller pairs from counter `first`: pair i reads u1
+    at counter first + i and u2 at first + pairs + i."""
+    r = _fill_uniforms(seed, first + j, np.empty(len(out) // 2))
+    theta = _fill_uniforms(seed, first + pairs + j, np.empty(len(out) // 2))
     np.negative(r, out=r)
     np.log1p(r, out=r)  # 1-u1 in (0, 1], log is finite
     r *= -2.0
@@ -120,13 +124,12 @@ class CounterRng:
         return out
 
     def gaussians(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller (no rejection, counter-exact):
-        pair j uses draw j as u1 and draw pairs + j as u2."""
+        """Standard normals via Box-Muller (no rejection, counter-exact),
+        from (count + 1) // 2 pairs laid out as `_box_muller` states."""
         pairs = (count + 1) // 2
         out = np.empty(2 * pairs)
         for j in range(0, pairs, _BLOCK):
-            _box_muller(self.seed, self.counter + j, self.counter + pairs + j,
-                        out[2 * j : 2 * (j + _BLOCK)])
+            _box_muller(self.seed, self.counter, pairs, j, out[2 * j : 2 * (j + _BLOCK)])
         self.counter += 2 * pairs
         return out[:count]
 
@@ -189,10 +192,10 @@ Integrand = Union[Node, Callable[[np.ndarray], np.ndarray]]
 
 
 def _integrand_values(f: Integrand, points: np.ndarray) -> np.ndarray:
-    if isinstance(f, (expr.Num, expr.Var, expr.Neg, expr.BinOp, expr.Call)):
-        # a constant integrand still binds x1 so eval_many returns an array
-        return expr.eval_many(f, expr._bind_univariate(f, points))
-    return np.asarray(f(points), dtype=float)
+    if callable(f):
+        return np.asarray(f(points), dtype=float)
+    # a constant integrand still binds x1 so eval_many returns an array
+    return expr.eval_many(f, expr._bind_univariate(f, points))
 
 
 def integrate_1d(
@@ -261,12 +264,12 @@ def _fill_columns(
     q is even (or q+m = count), so no Box-Muller pair straddles two calls."""
     n = spec.dim
     pairs = (count * n + 1) // 2
+    radii = first + _counters_used(count, n, on_sphere=True)  # after all pairs
     step, end = _points_per_block(n), q + out.shape[1]
     g = np.empty(step * n)
     for p in range(q, end, step):
         m = min(step, end - p)
-        j, k = first + p * n // 2, (m * n + 1) // 2
-        _box_muller(seed, j, j + pairs, g[: 2 * k])
+        _box_muller(seed, first, pairs, p * n // 2, g[: 2 * ((m * n + 1) // 2)])
         rows, block = g[: m * n].reshape(m, n), out[:, p - q : p - q + m]
         block[...] = rows.T
         if n >= 8:  # keep numpy's pairwise sum order for long rows
@@ -275,8 +278,8 @@ def _fill_columns(
             norms = np.sqrt(sum(row * row for row in block))
         norms[norms == 0.0] = 1.0  # astronomically unlikely; point degrades to center
         block /= norms
-        if not on_sphere:  # radii h * U^(1/n) read the counters after all pairs
-            u = _fill_uniforms(seed, first + 2 * pairs + p, np.empty(m))
+        if not on_sphere:  # radii h * U^(1/n)
+            u = _fill_uniforms(seed, radii + p, np.empty(m))
         block *= spec.radius if on_sphere else spec.radius * u ** (1.0 / n)
         block += np.asarray(spec.center)[:, None]
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,38 @@ class TestDerivatives1d:
     def test_domain_error_propagates(self):
         with pytest.raises(DomainError):
             calculus.derivatives_1d(expr.parse("log(x)"), -1.0)
+
+    @pytest.mark.parametrize("source,x,message", [
+        ("sqrt(x)", 0.0, "sqrt of a non-positive argument (derivative undefined at 0)"),
+        ("x^0.5", -1.0, "fractional power of a non-positive base"),
+    ])
+    def test_derivative_domain_rules(self, source, x, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            calculus.derivatives_1d(expr.parse(source), x)
+
+    def test_derivative_table_covers_every_function(self):
+        assert set(calculus._DERIVATIVES) == set(expr.FUNCTIONS)
+
+    @pytest.mark.parametrize("fn", expr.FUNCTIONS)
+    def test_derivative_table_keeps_each_bit(self, fn):
+        # (u, u', u'') of each function in its reference operation order
+        forms = {
+            "sin": lambda t: (np.sin(t), np.cos(t), -np.sin(t)),
+            "cos": lambda t: (np.cos(t), -np.sin(t), -np.cos(t)),
+            "exp": lambda t: (np.exp(t), np.exp(t), np.exp(t)),
+            "log": lambda t: (np.log(t), 1.0 / t, -(1.0 / t) * (1.0 / t)),
+            "sqrt": lambda t: (np.sqrt(t), 0.5 / np.sqrt(t), -0.25 / (np.sqrt(t) * t)),
+            "tanh": lambda t: (np.tanh(t), 1.0 - np.tanh(t) * np.tanh(t),
+                               -2.0 * np.tanh(t) * (1.0 - np.tanh(t) * np.tanh(t))),
+            "abs": lambda t: (np.abs(t), np.sign(t), 0.0),
+        }
+        ts = np.linspace(0.01, 9.0, 997)
+        if fn not in ("log", "sqrt"):
+            ts = np.concatenate([-ts, ts])
+        jet = Jet2(ts, np.full_like(ts, 0.7), np.full_like(ts, -1.3))
+        got, want = jet.apply(fn), jet._compose(*forms[fn](ts))
+        for a, b in zip(got.parts, want.parts):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_abs_underivable_at_zero(self):
         with pytest.raises(DomainError):

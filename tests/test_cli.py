@@ -219,6 +219,12 @@ class TestCheckers:
         assert out == ""
         assert "error: argument --" in err
 
+    def test_finite_tolerance_is_used(self, capsys):
+        code, out, _ = run(capsys, "abscissa", "--fn", "x^3", "--a", "0", "--b", "1",
+                           "--tol", "1e-10")
+        assert code == 0
+        assert json.loads(out)["tol"] == 1e-10
+
     @pytest.mark.parametrize("argv", [
         ("poly-verify", "--coeffs", "1,2", "--lambda", "1/0"),
         ("poly-verify", "--coeffs", "1/0,2", "--lambda", "1/2"),
@@ -395,6 +401,20 @@ def _rule_cases():
     for command in ("abscissa", "sweep"):
         yield case("bound", command, "--grid", "1000001", "must be at most 1000000")
     yield case("bound", "sweep", "--steps", "1001", "must be at most 1000")
+    for command in ("check-weighted", "check-interval", "ball-check", "sphere-check",
+                    "laplacian", "vderiv"):
+        for seed in ("18446744073709551616", "-1"):
+            yield case("seed", command, "--seed", seed, "seed must fit in 64 bits")
+    for command in ("ball-check", "sphere-check"):
+        yield case("direction", command, "--v", "1,0,0", "v has dimension 3, need 2")
+        yield case("radius", command, "--hmin", "0", "invalid radius range (0.0, 1.0)")
+        yield case("radius", command, "--hmax", "0.1", "invalid radius range (0.2, 0.1)")
+    for command in ("laplacian", "vderiv"):
+        yield case("point", command, "--at", "1,2", "--at needs 1 coordinates")
+    for name, message in (("harmonic2d_7", "harmonic2d_k supports k in 0..6, got 7"),
+                          ("coordinate_3", "coordinate_3 needs dimension >= 3"),
+                          ("vconst_harmonic", "vconst_harmonic needs dimension >= 3")):
+        yield case("builtin", "builtins", "--name", name, message)
 
 
 class TestInputRules:

@@ -243,6 +243,10 @@ class TestBivariatePolynomial:
 
     def test_str_forms(self):
         assert str(BivariatePolynomial.from_terms({})) == "0"
+        # x^4 at lambda = 1/2: no power of (b-a), so the general form
+        assert str(mvt_residual(poly_from_coeffs([0, 0, 0, 0, 1]), Fraction(1, 2)).residual) == (
+            "1/2*b^4 - 1*a*b^3 + 1*a^3*b - 1/2*a^4"
+        )
         assert "(b-a)" in str(
             BivariatePolynomial.from_terms(
                 {(0, 1): Fraction(1, 4), (1, 0): Fraction(-1, 4)}

@@ -36,6 +36,14 @@ class TestTokenize:
             expr.tokenize("x $ y")
         assert err.value.offset == 2
 
+    def test_every_kind_with_its_offset(self):
+        tokens = [(t.kind, t.text, t.offset) for t in expr.tokenize("abs(x1, .5e1)\t-2^y")]
+        assert tokens == [
+            ("ident", "abs", 0), ("lparen", "(", 3), ("ident", "x1", 4), ("comma", ",", 6),
+            ("num", ".5e1", 8), ("rparen", ")", 12), ("op", "-", 14), ("num", "2", 15),
+            ("op", "^", 16), ("ident", "y", 17), ("end", "", 18),
+        ]
+
     def test_whitespace_insensitive(self):
         loose = [(t.kind, t.text) for t in expr.tokenize(" 1 +  2 ")]
         tight = [(t.kind, t.text) for t in expr.tokenize("1+2")]
@@ -147,6 +155,10 @@ class TestEvaluate:
     def test_fractional_power_of_negative(self):
         with pytest.raises(DomainError):
             expr.evaluate(expr.parse("x^0.5"), {"x": -2.0})
+
+    def test_power_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflow in power"):
+            expr.evaluate(expr.parse("10^x"), {"x": 400.0})
 
     @pytest.mark.parametrize("source", ["x*x*x", "x*x*x - x*x*x"])
     def test_non_finite_value_is_domain_error(self, source):
@@ -355,6 +367,18 @@ class TestSharedRules:
             ast = expr.parse(f"x{index}")
             assert expr.evaluate(ast, {name: 2.0}) == 2.0
             assert expr.eval_many(ast, {name: np.array([2.0])}).tolist() == [2.0]
+
+
+    @pytest.mark.parametrize("bindings,name", [
+        ({"x": 1.0, "x1": 2.0}, "x1"), ({"x": 1.0, 1: 5.0}, "x1"), ({"y": 1.0, "x2": 2.0}, "x2"),
+    ])
+    def test_two_keys_for_one_variable_are_refused(self, bindings, name):
+        # the last key used to win in silence
+        message = f"more than one binding names {name}"
+        with pytest.raises(ParseError, match=message):
+            expr.evaluate(expr.parse("x + y"), bindings)
+        with pytest.raises(ParseError, match=message):
+            expr.eval_many(expr.parse("x + y"), {k: [v] for k, v in bindings.items()})
 
 
 class TestSoleVariable:
