@@ -8,6 +8,11 @@ payload and whether the property holds, and `main` alone encodes, writes
 and picks the exit code.  Float flags must be finite, so no flag value
 can put NaN or Infinity into the JSON.
 
+`build_parser` builds the argparse tree once per process, and `main`
+reuses it.  Handlers look up their checker in `mvp` by name at call
+time, so a wrapper installed on `mvp` later (a profiler or tracer) still
+sees every CLI call.
+
 Exit codes: 0 = property holds / computation succeeded, 1 = property
 violated (counterexamples in the output), 2 = usage or expression parse
 error (including a non-finite float flag), 3 = numeric failure (domain
@@ -17,6 +22,7 @@ error, no abscissa found, a non-finite number in the output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,8 +43,16 @@ _EXIT_NUMERIC = 3
 # Flag value parsers
 
 
+def _parsed(convert, text: str, form: str):
+    """convert(text), with a ValueError reported as the form it expected."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
 def _seed(text: str) -> int:
-    value = int(text, 0)  # decimal or 0x-hex
+    value = _parsed(lambda t: int(t, 0), text, "an integer (decimal or 0x-hex)")
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text!r}")
     return value
@@ -49,19 +63,21 @@ _MAX_GRID = 1_000_000
 _MAX_STEPS = 1_000
 _MAX_POINTS = 100_000
 _MAX_TRIALS = 10_000
+_MAX_SAMPLES = 1_000_000
 
 
 def _count(bound: int):
     """Argparse type for a count flag: an int no larger than `bound`."""
     def count(text: str) -> int:
-        if int(text) > bound:
+        value = _parsed(int, text, "an integer")
+        if value > bound:
             raise argparse.ArgumentTypeError(f"must be at most {bound}, got {text!r}")
-        return int(text)
+        return value
     return count
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    value = _parsed(float, text, "a number")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
@@ -76,7 +92,7 @@ def _tolerance(text: str) -> float:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _parsed(Fraction, text, "a rational such as 0.25 or 1/4")
     except ZeroDivisionError as exc:  # "1/0"
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
@@ -183,7 +199,7 @@ def _cmd_lambda_family(args: argparse.Namespace) -> _Result:
 
 def _cmd_interval_check(args: argparse.Namespace) -> _Result:
     f = expr.parse(args.fn)
-    verdict = args.checker(
+    verdict = getattr(mvp, args.checker)(
         f, args.lam, args.trials, mvroot.Interval(args.a, args.b),
         args.seed, args.tol,
     )
@@ -192,7 +208,7 @@ def _cmd_interval_check(args: argparse.Namespace) -> _Result:
 
 def _cmd_offset_check(args: argparse.Namespace) -> _Result:
     g = expr.parse(args.fn)
-    verdict = args.checker(
+    verdict = getattr(mvp, args.checker)(
         g, mvp.WeightSpec(args.lam, args.v), args.trials, args.box,
         args.samples, args.seed, args.dim, tol=args.tol,
         radius_range=(args.hmin, args.hmax), threads=args.threads,
@@ -271,7 +287,12 @@ def _subparser(sub, name: str, text: str) -> argparse.ArgumentParser:
     return sub.add_parser(name, help=text, description=text, parents=[_OUT])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on the first call, then reused.
+
+    Every caller shares it, so none may add to or change it.
+    """
     parser = argparse.ArgumentParser(
         prog="mvlab",
         description=(
@@ -312,14 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep tables default to CSV")
     p.set_defaults(handler=_cmd_sweep)
 
-    # checkers (here and for ball/sphere below) are looked up per parser
-    # build, so wrappers installed on mvp (profilers, tracers) see CLI calls
     for name, checker, identity, tol in (
-        ("check-weighted", mvp.check_weighted_property,
+        ("check-weighted", "check_weighted_property",
          "(f(b)-f(a))/(b-a) = f'(lambda*a + (1-lambda)*b) on random subintervals", 1e-9),
-        ("check-midpoint", mvp.check_weighted_property,
+        ("check-midpoint", "check_weighted_property",
          "(f(b)-f(a))/(b-a) = f'((a+b)/2) on random subintervals", 1e-9),
-        ("check-interval", mvp.check_interval_mvp,
+        ("check-interval", "check_interval_mvp",
          "f'(x+(1-2*lambda)*h) = (1/2h) * integral of f' over [x-h, x+h] "
          "on random symmetric intervals", 1e-8),
     ):
@@ -356,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lambda_family)
 
     for name, checker, what in (
-        ("ball-check", mvp.check_ball_mvp, "solid ball average"),
-        ("sphere-check", mvp.check_sphere_mvp, "boundary sphere average"),
+        ("ball-check", "check_ball_mvp", "solid ball average"),
+        ("sphere-check", "check_sphere_mvp", "boundary sphere average"),
     ):
         p = _subparser(sub, name, (
                 f"test g(x + (1-2*lambda)*h*v) = {what} of g over B_h(x) "
@@ -370,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--v", type=_csv_floats, default=None,
                        help="unit direction, e.g. 1,0 (optional at lambda=1/2)")
         p.add_argument("--trials", type=_count(_MAX_TRIALS), default=20)
-        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--samples", type=_count(_MAX_SAMPLES), default=100_000)
         p.add_argument("--box", type=_csv_floats, default=(-2.0, 2.0),
                        help="center range lo,hi applied to every coordinate")
         p.add_argument("--hmin", type=_finite, default=0.2, help="smallest radius")

@@ -9,6 +9,17 @@ exact rational arithmetic decides *identically* whether the weighted
 average of the endpoints serves as a mean value abscissa on every
 interval: R == 0 is a proof, not a numerical observation.
 
+Only the coefficient c_s of p contributes to the terms of R of total
+degree s: c_s*(b^s - a^s) - (b-a)*s*c_s*(lambda*a + (1-lambda)*b)^(s-1).
+Write lambda = P/Q in lowest terms, R' = Q - P and, from the binomial
+theorem, the integers T_i = C(s-1, i) * P^i * R'^(s-1-i) with
+T_(-1) = T_s = 0.  Then the coefficient of a^i b^(s-i) is
+
+    c_s * ([i = 0] - [i = s] + s * (T_(i-1) - T_i) / Q^(s-1)),
+
+so `mvt_residual` computes each numerator in Python ints and builds one
+Fraction per nonzero term.
+
 The monomial family solver handles the fixed-left-endpoint variant: for
 f(x) = x^(k+1) on [0, b], the abscissa sits at c = b * (k+1)^(-1/k) for
 every b, and two different lambda conventions can describe that point
@@ -214,14 +225,6 @@ def _check_lambda(lam: Fraction | float) -> Fraction | float:
     return lam
 
 
-def _weighted_point_power(lam: Fraction, m: int) -> dict[tuple[int, int], Fraction]:
-    """(lam*a + (1-lam)*b)^m expanded into a^i b^(m-i) terms."""
-    mu = 1 - lam
-    return {
-        (i, m - i): comb(m, i) * lam**i * mu ** (m - i) for i in range(m + 1)
-    }
-
-
 def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> MvtResidual:
     """Exact expansion of p(b) - p(a) - (b-a) * p'(lam*a + (1-lam)*b).
 
@@ -233,23 +236,22 @@ def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> MvtResidual:
     if p.degree is not None and p.degree > MAX_DEGREE:
         raise ValueError(f"degree {p.degree} exceeds expansion cap {MAX_DEGREE}")
 
+    # the integer formula of the module docstring: one Fraction per term
+    P, Q = lam.numerator, lam.denominator
+    p_pow = [P**i for i in range(len(p.coeffs))]
+    r_pow = [(Q - P) ** i for i in range(len(p.coeffs))]
     terms: dict[tuple[int, int], Fraction] = {}
-
-    def add(key: tuple[int, int], value: Fraction) -> None:
-        terms[key] = terms.get(key, Fraction(0)) + value
-
-    for k, c in enumerate(p.coeffs):
-        if c != 0 and k > 0:  # p(b) - p(a); constant terms cancel
-            add((0, k), c)
-            add((k, 0), -c)
-    dp = p.derivative()
-    for m, d in enumerate(dp.coeffs):
-        if d == 0:
+    for s, c in enumerate(p.coeffs):
+        if c == 0 or s == 0:  # constant terms cancel in p(b) - p(a)
             continue
-        for (i, j), t in _weighted_point_power(lam, m).items():
-            add((i, j + 1), -d * t)  # times -b
-            add((i + 1, j), d * t)  # times +a
-    residual = BivariatePolynomial.from_terms(terms)
+        q_pow = Q ** (s - 1)
+        # T[-1] is the trailing 0, so T_(-1) = T_s = 0
+        T = [comb(s - 1, i) * p_pow[i] * r_pow[s - 1 - i] for i in range(s)] + [0]
+        for i in range(s + 1):
+            num = s * (T[i - 1] - T[i]) + q_pow * ((i == 0) - (i == s))
+            if num:
+                terms[(i, s - i)] = Fraction(c.numerator * num, c.denominator * q_pow)
+    residual = BivariatePolynomial(terms)
     return MvtResidual(residual, residual.is_zero)
 
 

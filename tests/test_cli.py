@@ -401,6 +401,16 @@ def _rule_cases():
     for command in ("abscissa", "sweep"):
         yield case("bound", command, "--grid", "1000001", "must be at most 1000000")
     yield case("bound", "sweep", "--steps", "1001", "must be at most 1000")
+    for command in ("ball-check", "sphere-check"):
+        yield case("bound", command, "--samples", "1000001", "must be at most 1000000")
+    # an unparsable value names the form it expected, not a private function
+    for flag, form in (("--seed", "an integer (decimal or 0x-hex)"), ("--a", "a number"),
+                       ("--trials", "an integer"),
+                       ("--lambda", "a rational such as 0.25 or 1/4")):
+        yield case("form", "check-weighted", flag, "abc", f"expected {form}, got 'abc'")
+    yield case("form", "ball-check", "--samples", "abc", "expected an integer, got 'abc'")
+    yield case("form", "poly-verify", "--coeffs", "1,abc",
+               "expected a rational such as 0.25 or 1/4, got 'abc'")
     for command in ("check-weighted", "check-interval", "ball-check", "sphere-check",
                     "laplacian", "vderiv"):
         for seed in ("18446744073709551616", "-1"):
@@ -429,6 +439,35 @@ class TestInputRules:
     def test_base_argv_passes(self, capsys, command):
         # so each failure above comes from the one bad value
         assert run(capsys, command, *_CHECKS[command])[0] in (0, 1)
+
+
+class TestOneParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_wrappers_installed_later_see_calls(self, capsys, monkeypatch):
+        run(capsys, "parse", "--fn", "x")  # the parser exists before the wrappers
+        calls = []
+        for name in ("check_weighted_property", "check_ball_mvp"):
+            def wrapper(*args, _real=getattr(cli.mvp, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli.mvp, name, wrapper)
+        assert run(capsys, "check-weighted", *_CHECKS["check-weighted"])[0] == 0
+        assert run(capsys, "ball-check", *_CHECKS["ball-check"])[0] in (0, 1)
+        assert calls == ["check_weighted_property", "check_ball_mvp"]
+
+    def test_calls_share_no_state(self, capsys, tmp_path):
+        target = tmp_path / "parse.json"
+        assert run(capsys, "parse", "--fn", "x+1", "--out", str(target)) == (0, "", "")
+        code, out, _ = run(capsys, "parse", "--fn", "x+1")
+        assert code == 0
+        assert json.loads(out) == json.loads(target.read_text())
+        interval = ["--fn", "x^2", "--a", "0", "--b", "1", "--trials", "2"]
+        out = run(capsys, "check-weighted", *interval, "--lambda", "1/4")[1]
+        assert json.loads(out)["property"] == "weighted-mean-value(lambda=0.25)"
+        out = run(capsys, "check-midpoint", *interval)[1]
+        assert json.loads(out)["property"] == "weighted-mean-value(lambda=0.5)"
 
 
 class TestInputRanges:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -31,6 +32,28 @@ def sympy_residual_terms(coeffs, lam):
         q = sympy.Rational(c)
         out[(i, j)] = Fraction(int(q.p), int(q.q))
     return {k: v for k, v in out.items() if v != 0}
+
+
+def fraction_residual_terms(p, lam):
+    """Independent oracle: expand the residual term by term in Fractions,
+    adding each product of p(b) - p(a) and (b-a)*p'(lam*a + (1-lam)*b)."""
+    terms = {}
+
+    def add(key, value):
+        terms[key] = terms.get(key, Fraction(0)) + value
+
+    for k, c in enumerate(p.coeffs):
+        if c != 0 and k > 0:  # p(b) - p(a); constant terms cancel
+            add((0, k), c)
+            add((k, 0), -c)
+    for m, d in enumerate(p.derivative().coeffs):
+        if d == 0:
+            continue
+        for i in range(m + 1):  # (lam*a + (1-lam)*b)^m, term a^i b^(m-i)
+            t = comb(m, i) * lam**i * (1 - lam) ** (m - i)
+            add((i, m - i + 1), -d * t)  # times -b
+            add((i + 1, m - i), d * t)  # times +a
+    return {k: v for k, v in terms.items() if v != 0}
 
 
 def _rand_fraction(rng, span=9):
@@ -104,6 +127,21 @@ class TestMvtResidual:
                 [p.coefficient(k) for k in range(len(p.coeffs))] or [Fraction(0)], lam
             )
             assert got == want
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000),
+                                     Fraction(2**61 - 1, 2**62)])
+    def test_matches_fraction_expansion(self, lam):
+        # dense, sparse and monomial polynomials up to the degree cap, and zero
+        rng = random.Random(2024)
+        degrees = [0, 1, 2, 3, exactpoly.MAX_DEGREE] + [rng.randint(4, 63) for _ in range(4)]
+        polys = [poly_from_coeffs([0])]
+        for degree in degrees:
+            for density in (1.0, 0.2, 0.0):
+                coeffs = [_rand_fraction(rng, span=99) if rng.random() < density else 0
+                          for _ in range(degree)]
+                polys.append(poly_from_coeffs(coeffs + [_rand_fraction(rng, span=99) or 1]))
+        for p in polys:
+            assert mvt_residual(p, lam).residual.terms == fraction_residual_terms(p, lam), p
 
     def test_lambda_validated(self):
         with pytest.raises(ValueError):
