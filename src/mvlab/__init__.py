@@ -18,7 +18,6 @@ from .calculus import (
 from .exactpoly import (
     BivariatePolynomial,
     LambdaFamily,
-    MvtResidual,
     PolyVerdict,
     RationalPolynomial,
     classify,

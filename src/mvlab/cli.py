@@ -182,7 +182,7 @@ def _cmd_poly_verify(args: argparse.Namespace) -> _Result:
         "degree": verdict.degree,
         "lambda": str(verdict.lam),
         "satisfies": verdict.satisfies,
-        "residual": str(verdict.residual.residual),
+        "residual": str(verdict.residual),
     }, verdict.satisfies
 
 
@@ -211,7 +211,7 @@ def _cmd_offset_check(args: argparse.Namespace) -> _Result:
     verdict = getattr(mvp, args.checker)(
         g, mvp.WeightSpec(args.lam, args.v), args.trials, args.box,
         args.samples, args.seed, args.dim, tol=args.tol,
-        radius_range=(args.hmin, args.hmax), threads=args.threads,
+        radius_range=(args.hmin, args.hmax),
     )
     return verdict.to_json_dict(), verdict.holds
 
@@ -394,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="center range lo,hi applied to every coordinate")
         p.add_argument("--hmin", type=_finite, default=0.2, help="smallest radius")
         p.add_argument("--hmax", type=_finite, default=1.0, help="largest radius")
-        p.add_argument("--threads", type=int, default=1,
-                       help="sampling threads (the output never depends on it)")
         _add_randomized(p, tol=1e-9)
         p.set_defaults(handler=_cmd_offset_check, checker=checker)
 

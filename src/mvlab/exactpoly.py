@@ -39,7 +39,6 @@ __all__ = [
     "Rational",
     "RationalPolynomial",
     "BivariatePolynomial",
-    "MvtResidual",
     "PolyVerdict",
     "LambdaFamily",
     "poly_from_coeffs",
@@ -205,15 +204,9 @@ class BivariatePolynomial:
 
 
 @dataclass(frozen=True)
-class MvtResidual:
-    residual: BivariatePolynomial
-    is_identically_zero: bool
-
-
-@dataclass(frozen=True)
 class PolyVerdict:
     satisfies: bool
-    residual: MvtResidual
+    residual: BivariatePolynomial
     degree: int | None
     lam: Fraction
 
@@ -225,7 +218,7 @@ def _check_lambda(lam: Fraction | float) -> Fraction | float:
     return lam
 
 
-def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> MvtResidual:
+def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> BivariatePolynomial:
     """Exact expansion of p(b) - p(a) - (b-a) * p'(lam*a + (1-lam)*b).
 
     The result vanishes identically iff the lam-weighted endpoint average
@@ -251,15 +244,14 @@ def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> MvtResidual:
             num = s * (T[i - 1] - T[i]) + q_pow * ((i == 0) - (i == s))
             if num:
                 terms[(i, s - i)] = Fraction(c.numerator * num, c.denominator * q_pow)
-    residual = BivariatePolynomial(terms)
-    return MvtResidual(residual, residual.is_zero)
+    return BivariatePolynomial(terms)
 
 
 def classify(p: RationalPolynomial, lam: RationalLike) -> PolyVerdict:
     """satisfies <=> the residual is identically zero (exact decision)."""
     lam = _as_fraction(lam)
     res = mvt_residual(p, lam)
-    return PolyVerdict(res.is_identically_zero, res, p.degree, lam)
+    return PolyVerdict(res.is_zero, res, p.degree, lam)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ refuses two keys for one variable), the dimension 1..10 in
 `check_dimension`, and the real domain in `_real_divide`, `_real_pow` and
 `_real_apply` (also for jets).
 
-Parsing and evaluation are pure; AST nodes are immutable and freely
-shareable across threads.
+Parsing and evaluation are pure; AST nodes are immutable, so one parsed
+expression can be evaluated any number of times.
 """
 
 from __future__ import annotations

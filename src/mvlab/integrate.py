@@ -6,15 +6,14 @@ splitmix64 finalizer.  Outputs are pure functions of (seed, counter), so
 a Monte Carlo average divides its samples into chunks that read
 consecutive counter ranges of one stream: chunk i starts at the counter
 where chunk i-1 stopped.  `_box_muller` alone lays out Box-Muller pairs,
-and `_counters_used` states what a ball or sphere draw consumes.  The
-thread count only decides how many chunks run at once, so every thread
-count gives the same bits.  Within a call, draws are made in place, in
-cache-sized blocks of consecutive counters, so blocking never changes a
-bit; buffers are local to each call, so threads share no scratch state.
-A Monte Carlo chunk is sampled and evaluated in order, in blocks of
-_EVAL_POINTS points that reuse one point buffer, so its peak memory is
-one values array plus one block; its moments are still taken over the
-whole values array.
+and `_counters_used` states what a ball or sphere draw consumes.  Chunks
+run in order and their moments merge left to right, so the chunk size
+and merge order fix the bits.  Within a call, draws are made in place,
+in cache-sized blocks of consecutive counters, so blocking never changes
+a bit; buffers are local to each call.  A Monte Carlo chunk is sampled
+and evaluated in order, in blocks of _EVAL_POINTS points that reuse one
+point buffer, so its peak memory is one values array plus one block; its
+moments are still taken over the whole values array.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -362,52 +360,32 @@ def _merge_moments(
 
 
 def _mc_average(
-    g: Node,
-    spec: BallSpec,
-    samples: int,
-    seed: int,
-    on_sphere: bool,
-    threads: int = 1,
+    g: Node, spec: BallSpec, samples: int, seed: int, on_sphere: bool
 ) -> McEstimate:
     expr.check_dimension(g, spec.dim)
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     stride = _counters_used(_CHUNK, spec.dim, on_sphere)
-
-    def chunk(first: int) -> tuple[int, float, float]:
-        return _chunk_moments(g, spec, seed, first // _CHUNK * stride,
-                              min(_CHUNK, samples - first), on_sphere)
-
-    firsts = range(0, samples, _CHUNK)
-    workers = min(threads, len(firsts))
-    if workers <= 1:
-        results = list(map(chunk, firsts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk, firsts))
-    n, mean, m2 = functools.reduce(_merge_moments, results)
+    n, mean, m2 = functools.reduce(_merge_moments, (
+        _chunk_moments(g, spec, seed, i * stride, min(_CHUNK, samples - first), on_sphere)
+        for i, first in enumerate(range(0, samples, _CHUNK))
+    ))
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise expr.DomainError(g, "non-finite Monte Carlo moment")
     return McEstimate(mean, stderr, n, seed)
 
 
-def mc_ball_average(
-    g: Node, spec: BallSpec, samples: int, seed: int, threads: int = 1
-) -> McEstimate:
+def mc_ball_average(g: Node, spec: BallSpec, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the average of g over the ball.
 
-    Identical (g, spec, samples, seed) give identical bits at any thread
-    count: `threads` only sets how many sample chunks run at once.
+    Identical (g, spec, samples, seed) give identical bits: the chunks
+    of _CHUNK points run in order and merge left to right.
     """
-    return _mc_average(g, spec, samples, seed, on_sphere=False, threads=threads)
+    return _mc_average(g, spec, samples, seed, on_sphere=False)
 
 
-def mc_sphere_average(
-    g: Node, spec: BallSpec, samples: int, seed: int, threads: int = 1
-) -> McEstimate:
+def mc_sphere_average(g: Node, spec: BallSpec, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the average of g over the bounding sphere."""
     _check_sphere(spec.dim)
-    return _mc_average(g, spec, samples, seed, on_sphere=True, threads=threads)
+    return _mc_average(g, spec, samples, seed, on_sphere=True)

@@ -244,7 +244,6 @@ def _check_offset_average(
     n: int,
     tol: float,
     radius_range: tuple[float, float],
-    threads: int,
     on_sphere: bool,
 ) -> PropertyVerdict:
     expr.check_dimension(g, n)
@@ -265,7 +264,7 @@ def _check_offset_average(
         offset = (1.0 - 2.0 * w.lam) * h
         probe = tuple(c + offset * vi for c, vi in zip(center, v))
         spec = BallSpec(center, h, n)
-        est = average(g, spec, samples, CounterRng(seed).split(t).seed, threads)
+        est = average(g, spec, samples, CounterRng(seed).split(t).seed)
         lhs = expr.evaluate(g, {i + 1: probe[i] for i in range(n)})
         residuals.append(abs(lhs - est.estimate))
         allowed.append(max(tol, 4.0 * est.stderr))
@@ -283,15 +282,13 @@ def check_ball_mvp(
     n: int,
     tol: float = 1e-9,
     radius_range: tuple[float, float] = (0.2, 1.0),
-    threads: int = 1,
 ) -> PropertyVerdict:
     """Does g(x + (1-2*lam)*h*v) equal the average of g over the ball
     B_h(x), for random centers x in `box` and radii h?  A trial violates
     when the gap exceeds max(tol, 4*stderr)."""
     return _check_offset_average(
         f"ball-average(lambda={w.lam!r})",
-        g, w, trials, box, samples, seed, n, tol, radius_range, threads,
-        on_sphere=False,
+        g, w, trials, box, samples, seed, n, tol, radius_range, on_sphere=False,
     )
 
 
@@ -305,14 +302,12 @@ def check_sphere_mvp(
     n: int,
     tol: float = 1e-9,
     radius_range: tuple[float, float] = (0.2, 1.0),
-    threads: int = 1,
 ) -> PropertyVerdict:
     """Sphere form of check_ball_mvp: the average runs over the boundary
     sphere of B_h(x) instead of the solid ball (dimension >= 2)."""
     return _check_offset_average(
         f"sphere-average(lambda={w.lam!r})",
-        g, w, trials, box, samples, seed, n, tol, radius_range, threads,
-        on_sphere=True,
+        g, w, trials, box, samples, seed, n, tol, radius_range, on_sphere=True,
     )
 
 

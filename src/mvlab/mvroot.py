@@ -55,6 +55,8 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):  # slopes and grids divide by it
+            raise ValueError(f"interval [{self.a}, {self.b}] is too wide: b - a overflows")
 
     @property
     def width(self) -> float:

@@ -481,14 +481,6 @@ class TestInputRanges:
         assert (code, out) == (2, "")
         assert f"dimension must be 1..10, got {argv[4]}" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one(self, capsys, threads):
-        code, out, err = run(capsys, "ball-check", "--fn", "x", "--dim", "2",
-                             "--lambda", "1/2", "--trials", "1", "--samples", "10000",
-                             "--threads", threads)
-        assert (code, out) == (2, "")
-        assert f"need threads >= 1, got {threads}" in err
-
     @pytest.mark.parametrize("argv,box", [
         (("ball-check", "--fn", "x", "--dim", "2", "--lambda", "1/2", "--trials", "1",
           "--samples", "10000", "--box", "1,2,3"), "[1.0, 2.0, 3.0]"),
@@ -498,6 +490,23 @@ class TestInputRanges:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"box {box} must give each coordinate a (lo, hi) range" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check-midpoint", "--fn", "x"),
+        ("check-interval", "--fn", "x", "--lambda", "1/3"),
+        ("abscissa", "--fn", "x"),
+    ])
+    def test_interval_width_overflows(self, capsys, argv):
+        # both endpoints are finite, but b - a is inf
+        code, out, err = run(capsys, *argv, "--a=-1e308", "--b", "1e308")
+        assert (code, out) == (2, "")
+        assert err.count("interval [-1e+308, 1e+308] is too wide: b - a overflows") == 1
+
+    def test_threads_flag_is_gone(self, capsys):
+        code, out, err = run(capsys, "ball-check", "--fn", "x", "--dim", "2",
+                             "--lambda", "1/2", "--threads", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --threads 2" in err
 
 
 class TestLambdaFamily:

@@ -98,23 +98,23 @@ class TestMvtResidual:
         rng = random.Random(101)
         for _ in range(100):
             p = poly_from_coeffs([_rand_fraction(rng) for _ in range(3)])
-            assert mvt_residual(p, Fraction(1, 2)).is_identically_zero
+            assert mvt_residual(p, Fraction(1, 2)).is_zero
 
     def test_cubic_at_half_matches_sympy(self):
         res = mvt_residual(poly_from_coeffs([0, 0, 0, 1]), Fraction(1, 2))
-        assert not res.is_identically_zero
-        assert dict(res.residual.terms) == sympy_residual_terms(
+        assert not res.is_zero
+        assert dict(res.terms) == sympy_residual_terms(
             [Fraction(0), Fraction(0), Fraction(0), Fraction(1)], Fraction(1, 2)
         )
         # and the closed form: (1/4)(b-a)^3
-        assert res.residual.as_power_of_difference() == (Fraction(1, 4), 3)
+        assert res.as_power_of_difference() == (Fraction(1, 4), 3)
 
     def test_square_at_third_matches_sympy(self):
         res = mvt_residual(poly_from_coeffs([0, 0, 1]), Fraction(1, 3))
-        assert dict(res.residual.terms) == sympy_residual_terms(
+        assert dict(res.terms) == sympy_residual_terms(
             [Fraction(0), Fraction(0), Fraction(1)], Fraction(1, 3)
         )
-        assert res.residual.as_power_of_difference() == (Fraction(-1, 3), 2)
+        assert res.as_power_of_difference() == (Fraction(-1, 3), 2)
 
     def test_random_cases_match_sympy(self):
         rng = random.Random(55)
@@ -122,7 +122,7 @@ class TestMvtResidual:
             coeffs = [_rand_fraction(rng) for _ in range(rng.randint(1, 6))]
             lam = Fraction(rng.randint(1, 9), 10)
             p = poly_from_coeffs(coeffs)
-            got = dict(mvt_residual(p, lam).residual.terms)
+            got = dict(mvt_residual(p, lam).terms)
             want = sympy_residual_terms(
                 [p.coefficient(k) for k in range(len(p.coeffs))] or [Fraction(0)], lam
             )
@@ -141,7 +141,7 @@ class TestMvtResidual:
                           for _ in range(degree)]
                 polys.append(poly_from_coeffs(coeffs + [_rand_fraction(rng, span=99) or 1]))
         for p in polys:
-            assert mvt_residual(p, lam).residual.terms == fraction_residual_terms(p, lam), p
+            assert mvt_residual(p, lam).terms == fraction_residual_terms(p, lam), p
 
     def test_lambda_validated(self):
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ class TestMvtResidual:
         rng = random.Random(77)
         p = poly_from_coeffs([_rand_fraction(rng) for _ in range(5)])
         lam = Fraction(3, 10)
-        res = mvt_residual(p, lam).residual
+        res = mvt_residual(p, lam)
         dp = p.derivative()
         for _ in range(20):
             a = rng.uniform(-3, 3)
@@ -189,7 +189,7 @@ class TestClassify:
     def test_square_at_three_tenths_violates(self):
         verdict = classify(poly_from_coeffs([0, 0, 1]), Fraction(3, 10))
         assert not verdict.satisfies
-        assert verdict.residual.residual.as_power_of_difference() == (
+        assert verdict.residual.as_power_of_difference() == (
             Fraction(-2, 5),
             2,
         )
@@ -282,7 +282,7 @@ class TestBivariatePolynomial:
     def test_str_forms(self):
         assert str(BivariatePolynomial.from_terms({})) == "0"
         # x^4 at lambda = 1/2: no power of (b-a), so the general form
-        assert str(mvt_residual(poly_from_coeffs([0, 0, 0, 0, 1]), Fraction(1, 2)).residual) == (
+        assert str(mvt_residual(poly_from_coeffs([0, 0, 0, 0, 1]), Fraction(1, 2))) == (
             "1/2*b^4 - 1*a*b^3 + 1*a^3*b - 1/2*a^4"
         )
         assert "(b-a)" in str(

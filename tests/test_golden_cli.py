@@ -1,11 +1,10 @@
 """Byte-for-byte CLI regression against committed outputs.
 
 `golden_cli.json` maps each argv (shell-quoted) to [exit code, stdout]:
-the acceptance suite's `_CLI_COMMANDS` plus ball/sphere checks whose
-sample count spans two chunks, at 1, 2 and 3 threads.  The thread count
-must not change a byte.  After an intended output change, regenerate with
-`PYTHONPATH=src python tests/test_golden_cli.py` and explain every
-difference in CHANGES.md.
+the acceptance suite's `_CLI_COMMANDS` plus one ball and one sphere
+check whose sample count spans two chunks.  After an intended output
+change, regenerate with `PYTHONPATH=src python tests/test_golden_cli.py`
+and explain every difference in CHANGES.md.
 """
 
 import json
@@ -22,9 +21,8 @@ _TWO_CHUNKS = str((1 << 19) + 777)  # just over one sampling chunk
 
 MULTI_CHUNK = [
     [command, "--fn", fn, "--dim", "3", "--lambda", "0.5", "--trials", "2",
-     "--samples", _TWO_CHUNKS, "--seed", "13", "--threads", threads]
+     "--samples", _TWO_CHUNKS, "--seed", "13"]
     for command, fn in (("ball-check", "x^2 - y^2 + z"), ("sphere-check", "x*y*z"))
-    for threads in ("1", "2", "3")
 ]
 
 

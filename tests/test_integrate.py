@@ -255,14 +255,15 @@ class TestMcAverages:
         b = mc_ball_average(expr.parse("x^2 - y^2"), spec, 50000, 4242)
         assert a == b
 
-    def test_thread_count_never_changes_bits(self):
+    def test_three_chunks_equal_whole_chunk_sampling(self):
         # three chunks, the last with an odd number of Box-Muller draws
         g = expr.parse("x^2 - y^2 + x*z")
         spec = BallSpec((1.0, 2.0, -0.5), 0.5)
         samples = 2 * integrate._CHUNK + 777
-        for average in (mc_ball_average, mc_sphere_average):
-            runs = [average(g, spec, samples, 11, threads=t) for t in (1, 2, 4)]
-            assert runs[0] == runs[1] == runs[2]
+        for average, on_sphere in ((mc_ball_average, False), (mc_sphere_average, True)):
+            est = average(g, spec, samples, 11)
+            expected = _reference_average(g, spec, samples, 11, on_sphere)
+            assert (est.estimate, est.stderr) == expected
 
     @pytest.mark.parametrize("count", [1, 2, 777, 1000])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -314,14 +315,6 @@ class TestMcAverages:
         with pytest.raises(ValueError):
             mc_ball_average(expr.parse("x3"), BallSpec((0.0, 0.0), 1.0), 10000, 0)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one(self, threads):
-        # min(threads, chunks) <= 1 used to run the chunks inline
-        spec = BallSpec((0.0, 0.0), 1.0)
-        for average in (mc_ball_average, mc_sphere_average):
-            with pytest.raises(ValueError, match="need threads >= 1"):
-                average(expr.parse("x"), spec, 10000, 0, threads=threads)
-
 
 def _reference_average(g, spec, samples, seed, on_sphere):
     """The streamed average rebuilt from whole public sampler chunks."""
@@ -351,10 +344,9 @@ class TestStreamedChunks:
         for average, on_sphere in ((mc_ball_average, False), (mc_sphere_average, True)):
             if on_sphere and dim == 1:
                 continue
+            est = average(g, spec, samples, 99)
             expected = _reference_average(g, spec, samples, 99, on_sphere)
-            for threads in (1, 2):
-                est = average(g, spec, samples, 99, threads=threads)
-                assert (est.estimate, est.stderr) == expected
+            assert (est.estimate, est.stderr) == expected
 
     def test_first_bad_point_after_first_block(self):
         spec = BallSpec((0.0, 0.0), 1.0)

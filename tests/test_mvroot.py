@@ -25,6 +25,11 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
 
+    def test_overflowing_width_refused(self):
+        with pytest.raises(ValueError, match=r"interval \[-1e\+308, 1e\+308\] is too wide"):
+            Interval(-1e308, 1e308)
+        assert Interval(-1e308, 7e307).width == 1.7e308  # a wide, finite width is kept
+
 
 class TestAverageSlope:
     def test_secant_slope(self):
