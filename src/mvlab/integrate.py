@@ -5,15 +5,18 @@ stream with seed s is mix64(s + (i+1) * GOLDEN), where mix64 is the
 splitmix64 finalizer.  Outputs are pure functions of (seed, counter), so
 a Monte Carlo average divides its samples into chunks that read
 consecutive counter ranges of one stream: chunk i starts at the counter
-where chunk i-1 stopped.  `_box_muller` alone lays out Box-Muller pairs,
-and `_counters_used` states what a ball or sphere draw consumes.  Chunks
-run in order and their moments merge left to right, so the chunk size
-and merge order fix the bits.  Within a call, draws are made in place,
-in cache-sized blocks of consecutive counters, so blocking never changes
-a bit; buffers are local to each call.  A Monte Carlo chunk is sampled
-and evaluated in order, in blocks of _EVAL_POINTS points that reuse one
-point buffer, so its peak memory is one values array plus one block; its
-moments are still taken over the whole values array.
+where chunk i-1 stopped.  A ball or sphere direction is one angle in
+n = 2, an angle and Archimedes' uniform z in n = 3 (no Gaussians, norm or
+division), and a normalized Gaussian vector otherwise; `_box_muller` alone
+lays out Box-Muller pairs, and `_counters_used` states what a ball or
+sphere draw consumes.  Chunks run in order and their moments merge left
+to right, so the chunk size and merge order fix the bits.  Within a call,
+draws are made in place, in cache-sized blocks of consecutive counters,
+so blocking never changes a bit; buffers are local to each call.  A Monte
+Carlo chunk is sampled and evaluated in order, in blocks of _EVAL_POINTS
+points that reuse one point buffer, so its peak memory is one values
+array plus one block; its moments are still taken over the whole values
+array.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
@@ -56,10 +59,13 @@ __all__ = [
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+_SPLIT_KEY = 0x6A09E667F3BCC908  # frac(sqrt(2)) * 2^64, folded into split seeds
 
 _U64 = np.uint64
 _INV_2_53 = float(2.0**-53)
 _BLOCK = 1 << 14  # draws per cache-resident block
+_STRIDES = np.arange(_BLOCK, dtype=_U64) * _U64(GOLDEN)  # i * GOLDEN mod 2^64
+_STRIDES.flags.writeable = False
 
 
 def mix64(z: int) -> int:
@@ -72,8 +78,7 @@ def mix64(z: int) -> int:
 
 def _fill_uniforms(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     """out[i] = draw first + i of stream `seed`, len(out) <= _BLOCK; in place."""
-    z = np.arange(len(out), dtype=_U64) * _U64(GOLDEN)
-    z += _U64((seed + (first + 1) * GOLDEN) & _MASK)
+    z = _STRIDES[: len(out)] + _U64((seed + (first + 1) * GOLDEN) & _MASK)
     t = np.empty_like(z)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 0)):
         np.right_shift(z, _U64(shift), out=t)
@@ -103,7 +108,8 @@ class CounterRng:
     """Counter-based uniform/Gaussian stream, addressable and splittable.
 
     Every output is a pure function of (seed, counter); `split(i)` derives
-    an independent stream i via mix64(seed + (i+1)*GOLDEN).
+    stream i via mix64((seed ^ _SPLIT_KEY) + (i+1)*GOLDEN), so a split
+    seed is not output i of this stream.
     """
 
     def __init__(self, seed: int, counter: int = 0):
@@ -111,7 +117,7 @@ class CounterRng:
         self.counter = counter
 
     def split(self, i: int) -> "CounterRng":
-        return CounterRng(mix64(self.seed + (i + 1) * GOLDEN))
+        return CounterRng(mix64((self.seed ^ _SPLIT_KEY) + (i + 1) * GOLDEN))
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform in [0, 1), consuming `count` counters."""
@@ -257,25 +263,43 @@ def _fill_columns(
     on_sphere: bool,
 ) -> None:
     """Fill the (dim, m) columns `out` with points q..q+m-1 of a draw of
-    `count` points from counter `first`.  The draws are those of one
-    gaussians(count*dim) call (point-major), then one radius per point.
-    q is even (or q+m = count), so no Box-Muller pair straddles two calls."""
+    `count` points from counter `first`, laid out as `_counters_used` states.
+    In n = 2 and 3 each point reads its own counters.  Otherwise the draws
+    are those of one gaussians(count*dim) call (point-major), and q is even
+    (or q+m = count), so no Box-Muller pair straddles two calls."""
     n = spec.dim
-    pairs = (count * n + 1) // 2
-    radii = first + _counters_used(count, n, on_sphere=True)  # after all pairs
+    radii = first + _counters_used(count, n, on_sphere=True)  # after all directions
     step, end = _points_per_block(n), q + out.shape[1]
     g = np.empty(step * n)
     for p in range(q, end, step):
         m = min(step, end - p)
-        _box_muller(seed, first, pairs, p * n // 2, g[: 2 * ((m * n + 1) // 2)])
-        rows, block = g[: m * n].reshape(m, n), out[:, p - q : p - q + m]
-        block[...] = rows.T
-        if n >= 8:  # keep numpy's pairwise sum order for long rows
-            norms = np.linalg.norm(rows, axis=1)
-        else:  # numpy sums rows shorter than 8 left to right: same bits
-            norms = np.sqrt(sum(row * row for row in block))
-        norms[norms == 0.0] = 1.0  # astronomically unlikely; point degrades to center
-        block /= norms
+        block = out[:, p - q : p - q + m]
+        if n in (2, 3):  # angle phi = pi (2u - 1) at counter first + p
+            phi = _fill_uniforms(seed, first + p, g[:m])
+            phi *= 2.0
+            phi -= 1.0  # exact; libm's sin/cos are cheaper on [-pi, pi) than on [0, 2 pi)
+            phi *= math.pi
+            np.cos(phi, out=block[0])
+            np.sin(phi, out=block[1])
+            if n == 3:  # Archimedes: z = 1 - 2u at first + count + p is uniform
+                z = _fill_uniforms(seed, first + count + p, block[2])
+                z *= -2.0
+                z += 1.0
+                s = np.subtract(1.0, z, out=g[:m])  # 1 - z and 1 + z are exact
+                s *= np.add(1.0, z, out=g[m : 2 * m])
+                np.sqrt(s, out=s)  # sqrt(1 - z^2), accurate near the poles
+                block[:2] *= s
+        else:
+            _box_muller(seed, first, (count * n + 1) // 2, p * n // 2,
+                        g[: 2 * ((m * n + 1) // 2)])
+            rows = g[: m * n].reshape(m, n)
+            block[...] = rows.T
+            if n >= 8:  # keep numpy's pairwise sum order for long rows
+                norms = np.linalg.norm(rows, axis=1)
+            else:  # numpy sums rows shorter than 8 left to right: same bits
+                norms = np.sqrt(sum(row * row for row in block))
+            norms[norms == 0.0] = 1.0  # astronomically unlikely; point degrades to center
+            block /= norms
         if not on_sphere:  # radii h * U^(1/n)
             u = _fill_uniforms(seed, radii + p, np.empty(m))
         block *= spec.radius if on_sphere else spec.radius * u ** (1.0 / n)
@@ -292,8 +316,11 @@ def _sample(spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool) -> np.
 def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     """`count` points uniform in the ball, shape (count, dim).
 
-    Direction: normalized standard Gaussian vector; radius: h * U^(1/dim);
-    the polynomial radial law is what makes the density uniform in volume.
+    Direction: (cos phi, sin phi) in n = 2 and (s cos phi, s sin phi, z)
+    with z uniform on [-1, 1] and s = sqrt(1 - z^2) in n = 3, for phi
+    uniform on [-pi, pi); a normalized standard Gaussian vector in other
+    dimensions.  Radius: h * U^(1/dim); the polynomial radial law is what
+    makes the density uniform in volume.
     """
     return _sample(spec, rng, count, on_sphere=False)
 
@@ -304,8 +331,12 @@ def sample_sphere_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarra
 
 
 def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
-    """Counters sample_{ball,sphere}_many use: Box-Muller pairs, radii."""
-    return 2 * ((count * dim + 1) // 2) + (0 if on_sphere else count)
+    """Counters sample_{ball,sphere}_many use: the directions, then one
+    radius per ball point.  Directions take one angle per point in n = 2,
+    an angle and a z per point in n = 3, else (count*dim + 1) // 2
+    Box-Muller pairs."""
+    directions = count * (dim - 1) if dim in (2, 3) else 2 * ((count * dim + 1) // 2)
+    return directions + (0 if on_sphere else count)
 
 
 # ---------------------------------------------------------------------------

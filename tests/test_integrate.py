@@ -40,7 +40,18 @@ class TestCounterRng:
         assert not np.array_equal(base.split(0).uniforms(64), base.split(1).uniforms(64))
 
     def test_split_matches_mix_rule(self):
-        assert CounterRng(7).split(3).seed == mix64(7 + 4 * integrate.GOLDEN)
+        key = 0x6A09E667F3BCC908  # folded into the seed before the stride
+        assert CounterRng(7).split(3).seed == mix64((7 ^ key) + 4 * integrate.GOLDEN)
+
+    @pytest.mark.parametrize("seed", [0, 12345, (1 << 64) - 1])
+    def test_split_seed_is_not_a_parent_output(self, seed):
+        # trial t samples from split(t) while uniform draw t is one of its
+        # instance coordinates, so the two must not coincide
+        draws = CounterRng(seed).uniforms(1000).tolist()
+        for t in range(1000):
+            split_seed = CounterRng(seed).split(t).seed
+            assert split_seed != mix64(seed + (t + 1) * integrate.GOLDEN)
+            assert (split_seed >> 11) * 2.0**-53 != draws[t]
 
     def test_gaussians_moments(self):
         g = CounterRng(99).gaussians(200000)
@@ -211,6 +222,41 @@ class TestSampleSphere:
     def test_single_point(self):
         pt = sample_sphere_many(BallSpec((0.0, 0.0), 2.0), CounterRng(1), 1)[0]
         assert math.hypot(*pt) == pytest.approx(2.0, rel=1e-12)
+
+
+class TestSamplerLaw:
+    """Exact moments of the uniform law (Folland, Amer. Math. Monthly 108,
+    2001): on the unit sphere E[y_i] = 0, E[y_i^2] = 1/n, E[y_i^4] =
+    3/(n(n+2)) and E[y_i^2 y_j^2] = 1/(n(n+2)) for i != j; in the ball
+    E[|x - c|^2] = n h^2 / (n+2).  Each must hold within 5 standard errors."""
+
+    COUNT = (1 << 19) + 777  # past one Monte Carlo chunk
+
+    @staticmethod
+    def _assert_mean(values, exact, label):
+        stderr = values.std(ddof=1) / math.sqrt(len(values))
+        assert abs(values.mean() - exact) <= 5.0 * stderr, label
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sphere_moments(self, n):
+        spec = BallSpec(tuple(0.5 - 0.25 * i for i in range(n)), 1.5)
+        y = (sample_sphere_many(spec, CounterRng(17), self.COUNT) - spec.center) / 1.5
+        for i in range(n):
+            self._assert_mean(y[:, i], 0.0, ("E[y]", i))
+            self._assert_mean(y[:, i] ** 2, 1.0 / n, ("E[y^2]", i))
+            self._assert_mean(y[:, i] ** 4, 3.0 / (n * (n + 2)), ("E[y^4]", i))
+            for j in range(i + 1, n):
+                self._assert_mean(y[:, i] ** 2 * y[:, j] ** 2, 1.0 / (n * (n + 2)),
+                                  ("E[y_i^2 y_j^2]", i, j))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ball_second_moment(self, n):
+        h = 0.75
+        spec = BallSpec(tuple(0.25 * i - 1.0 for i in range(n)), h)
+        x = sample_ball_many(spec, CounterRng(23), self.COUNT) - spec.center
+        for i in range(n):
+            self._assert_mean(x[:, i], 0.0, ("E[x - c]", i))
+        self._assert_mean(np.sum(x * x, axis=1), n * h * h / (n + 2), "E[|x - c|^2]")
 
 
 class TestMcAverages:

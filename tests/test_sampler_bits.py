@@ -5,13 +5,18 @@ bit.  (a) checks `uniforms` against a pure-Python splitmix64 oracle at
 counters that straddle block boundaries.  (b) pins the SHA-256 of the
 points and the counter advance of `sample_ball_many`/`sample_sphere_many`
 for n = 1..10 at counts around the block size and past one Monte Carlo
-chunk.  The digests were generated before the samplers were blocked;
-regenerate them only for an intended change of the random stream, with
+chunk.  (c) rebuilds n = 2 and 3 points, whose directions come from an
+angle and Archimedes' z rather than Box-Muller, from the oracle at the
+counters the README states.  The Box-Muller digests (n = 1 and 4..10)
+were generated before the samplers were blocked, the n = 2 and 3 ones
+when those dimensions got their direct directions; regenerate them only
+for an intended change of the random stream, with
 `PYTHONPATH=src python tests/test_sampler_bits.py`, and say so in
 CHANGES.md.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -33,8 +38,8 @@ COUNTS = (1, 7, (1 << 14) - 1, (1 << 14) + 1, (1 << 19) + 777)
 DIGESTS = {
     # (sampler, dim): SHA-256 over COUNTS of the points' bytes and counters used
     ("ball", 1): "a74890c8b90137b986e764f656c207749a3bf22daaab07c3d539f4df69200983",
-    ("ball", 2): "26da352bd71fde8f497fac0657b5d1dfef25f0f6c7b330cffe92657afcf95904",
-    ("ball", 3): "4041d1839a86c98cb3b2219ccca16378a15999be4784b55f4f5c686020f08f1a",
+    ("ball", 2): "e2d5a000967de6b23c99cb2ebd5dcdc51860f9ded583d8e4cfa29ac9c5ce9880",
+    ("ball", 3): "7bc60ea9a73ca28d160e53cbfdbb0e174a54623bdf0a9604d9c2ec4748653212",
     ("ball", 4): "61a9286914f1ddecb53a1fe397d1628334c5a5e8bde658e60945eed436d816a8",
     ("ball", 5): "9f25173a999376de94fda128d8b1c652156c4be21131f484dff7ec9434d59149",
     ("ball", 6): "a5cec787d396ec98166f09356e282398c37c05817a6d8424ed203c579b562bb7",
@@ -43,8 +48,8 @@ DIGESTS = {
     ("ball", 9): "e6c9a010f8249f31a9b5a00af30b5e60d0d6565802cd4d6b4b3ed5be0bf03018",
     ("ball", 10): "32bc734fc5636958cc29429904d1927625144574d879c18dbbdc3f2665608c6d",
     ("sphere", 1): "7703c3f2ad467134a6892664f30c949780f589840097b174142d7d977b4d711d",
-    ("sphere", 2): "fd0759df4d45acb7e0b8606e49d9208826c54ff681aa0eb5a25135129698e159",
-    ("sphere", 3): "a59b323e929169de11736721610947b03f30a44725e3c5abd8366b9bc5280326",
+    ("sphere", 2): "2a45746f139f3800c2c58e98bfe44398721ba861a4e36afa43a467dbef66f413",
+    ("sphere", 3): "8d50c683f9acfa536ca3538a3ea8d569bbb61182a121b040f22dc539b495d4d0",
     ("sphere", 4): "48aba7e8182ab736371bfeb6f6d8cea5330fbfdbc853ec5e045ca0ba594ae879",
     ("sphere", 5): "7db9bab0a0ff9c78760255ea4c208409c203fc86c5b3c362b192b505f289ee46",
     ("sphere", 6): "a924b772910c1430e6f4561d8e97f4aef931d1ac5c7863807920e52db295a605",
@@ -101,6 +106,48 @@ def _gaussians_digest() -> str:
         h.update(rng.gaussians(count).tobytes())
         h.update(str(rng.counter - START).encode())
     return h.hexdigest()
+
+
+def _oracle_point(seed, first, count, p, dim, h, on_sphere):
+    """(direction, radius) of point p of a draw of `count` points from
+    counter `first`: an angle at first + p, in n = 3 a z at first + count
+    + p, then a ball radius at first + count*(dim - 1) + p."""
+    phi = (2.0 * _oracle_uniform(seed, first + p) - 1.0) * math.pi
+    if dim == 2:
+        direction = [math.cos(phi), math.sin(phi)]
+    else:
+        z = 1.0 - 2.0 * _oracle_uniform(seed, first + count + p)
+        s = math.sqrt((1.0 - z) * (1.0 + z))
+        direction = [math.cos(phi) * s, math.sin(phi) * s, z]
+    u = _oracle_uniform(seed, first + count * (dim - 1) + p)
+    return direction, h if on_sphere else h * u ** (1.0 / dim)
+
+
+def _oracle_indices(count, step):
+    # both ends, both sides of every sampler block boundary, and a stride
+    near = {k * step + d for k in range(count // step + 1) for d in (-2, -1, 0, 1)}
+    picked = {0, 1, 2, count - 2, count - 1} | near | set(range(0, count, 997))
+    return sorted(p for p in picked if 0 <= p < count)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_direct_directions_match_oracle(kind, dim):
+    sampler, on_sphere = SAMPLERS[kind]
+    spec, step = BallSpec([0.0] * dim, 1.5), integrate._points_per_block(dim)
+    for first in (0, integrate._BLOCK - 3, (1 << 40) + 1):
+        for count in COUNTS:
+            rng = CounterRng(SEED, first)
+            points = sampler(spec, rng, count)
+            assert rng.counter - first == count * (dim - 1) + (0 if on_sphere else count)
+            assert rng.counter - first == integrate._counters_used(count, dim, on_sphere)
+            for p in _oracle_indices(count, step):
+                direction, rho = _oracle_point(SEED, first, count, p, dim, 1.5, on_sphere)
+                # numpy's array pow and libm's may round u^(1/n) up to 2 ulp apart
+                slack = 0.0 if on_sphere else 2 * math.ulp(rho)
+                for got, d in zip(points[p].tolist(), direction):
+                    want = d * rho
+                    assert abs(got - want) <= 2 * math.ulp(want) + abs(d) * slack, (count, p)
 
 
 def test_gaussians_digest():
