@@ -2,43 +2,41 @@
 
 Randomness comes from a 64-bit counter-based generator: draw i of a
 stream with seed s is mix64(s + (i+1) * GOLDEN), where mix64 is the
-splitmix64 finalizer.  Outputs are pure functions of (seed, counter), so
-a Monte Carlo average divides its samples into chunks that read
-consecutive counter ranges of one stream: chunk i starts at the counter
-where chunk i-1 stopped.  A ball or sphere direction is one angle in
-n = 2, an angle and Archimedes' uniform z in n = 3 (no Gaussians, norm or
-division), and a normalized Gaussian vector otherwise; `_box_muller` alone
-lays out Box-Muller pairs, and `_counters_used` states what a ball or
-sphere draw consumes.  Chunks run in order and their moments merge left
-to right, so the chunk size and merge order fix the bits.  Within a call,
-draws are made in place, in cache-sized blocks of consecutive counters,
-so blocking never changes a bit; buffers are local to each call.  A Monte
-Carlo chunk is sampled and evaluated in order, in blocks of _EVAL_POINTS
-points that reuse one point buffer, so its peak memory is one values
-array plus one block; its moments are still taken over the whole values
-array.
+splitmix64 finalizer.  Outputs are pure functions of (seed, counter).  A
+ball or sphere direction is one angle in n = 2, an angle and Archimedes'
+uniform z in n = 3 (no Gaussians, norm or division), and a normalized
+Gaussian vector otherwise; `_box_muller` alone lays out Box-Muller pairs,
+and `_counters_used` states what a ball or sphere draw consumes.  Within a
+call, draws are made in place, in cache-sized blocks of consecutive
+counters, so blocking never changes a bit; buffers are local to each call.
+A Monte Carlo average of `samples` points is one such draw from counter 0,
+the points of one `sample_*_many(spec, CounterRng(seed), samples)` call.
+It is sampled and evaluated in order, in blocks of at most _EVAL_POINTS
+points that reuse one point buffer, and the blocks' moments merge left to
+right, so the block size and merge order fix the bits and peak memory does
+not grow with `samples`.
 
 Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
 V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
 `_check_ball` states the ball rules (dimension, positive finite radius),
-`_check_sphere` the sphere rule: n = 1 degenerates to two points, which
-the interval checkers in mvlab.mvp already cover.
+`_check_sphere` the sphere rule, for the sampler and the averages alike:
+n = 1 degenerates to two points, which the interval checkers in mvlab.mvp
+already cover.
 
 Integrand values are checked in `expr.eval_with`; an inf or NaN merged
-mean or standard error (a sum of huge finite values can overflow) is a
-DomainError too.
+mean or standard error, or 1-D integral of an expression (a sum of huge
+finite values can overflow), is a DomainError too.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import expr
+from . import expr, mvroot
 from .expr import Node
 
 __all__ = [
@@ -209,10 +207,12 @@ def integrate_1d(
 
     `panels` equal panels of `nodes` points each; exact (to roundoff) for
     polynomials of degree <= 2*nodes - 1.  The integrand is a parsed
-    expression or a vectorized callable.
+    expression or a vectorized callable.  [a, b] follows the
+    `mvroot.Interval` rules.  An expression whose weighted sum overflows
+    raises DomainError; a callable's sum is returned unchecked, for its
+    caller to check (mvp's interval checker refuses it as a residual).
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+    mvroot.Interval(a, b)
     if panels < 1 or nodes < 1:
         raise ValueError("panels and nodes must be >= 1")
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
@@ -222,7 +222,11 @@ def integrate_1d(
     points = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     weights = (half[:, None] * ref_w[None, :]).ravel()
     values = _integrand_values(f, points)
-    return float(np.dot(weights, values))
+    with np.errstate(over="ignore"):
+        total = float(np.dot(weights, values))
+    if not callable(f) and not math.isfinite(total):
+        raise expr.DomainError(f, "non-finite integral")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +331,7 @@ def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
 
 def sample_sphere_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     """`count` points uniform on the bounding sphere, shape (count, dim)."""
+    _check_sphere(spec.dim)
     return _sample(spec, rng, count, on_sphere=True)
 
 
@@ -342,8 +347,7 @@ def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
 # ---------------------------------------------------------------------------
 # Monte Carlo averages
 
-_CHUNK = 1 << 19
-_EVAL_POINTS = 1 << 15  # points sampled and evaluated per block of a chunk
+_EVAL_POINTS = 1 << 15  # points sampled and evaluated per block of a draw
 
 
 def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
@@ -356,26 +360,6 @@ def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
             _eval_at_points(g, points[:half])
             _eval_at_points(g, points[half:])
         raise McDomainError(tuple(points[0].tolist()), err) from None
-
-
-def _chunk_moments(
-    g: Node, spec: BallSpec, seed: int, first: int, count: int, on_sphere: bool
-) -> tuple[int, float, float]:
-    # blocks run in order, so a domain error names the chunk's first bad point
-    step = _points_per_block(spec.dim)
-    size = min(count, _EVAL_POINTS // step * step)  # whole sampler blocks
-    buf = np.empty((spec.dim, size))
-    values = np.empty(count)
-    for q in range(0, count, size):
-        cols = buf[:, : min(size, count - q)]
-        _fill_columns(spec, seed, first, count, q, cols, on_sphere)
-        values[q : q + cols.shape[1]] = _eval_at_points(g, cols.T)
-    with np.errstate(over="ignore", invalid="ignore"):  # _mc_average checks the merge
-        mean = float(np.mean(values))
-        values -= mean  # in place: the bits of np.sum((values - mean)**2)
-        values *= values
-        m2 = float(np.sum(values))
-    return count, mean, m2
 
 
 def _merge_moments(
@@ -396,11 +380,20 @@ def _mc_average(
     expr.check_dimension(g, spec.dim)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    stride = _counters_used(_CHUNK, spec.dim, on_sphere)
-    n, mean, m2 = functools.reduce(_merge_moments, (
-        _chunk_moments(g, spec, seed, i * stride, min(_CHUNK, samples - first), on_sphere)
-        for i, first in enumerate(range(0, samples, _CHUNK))
-    ))
+    # blocks run in order, so a domain error names the draw's first bad point
+    step = _points_per_block(spec.dim)
+    size = min(samples, _EVAL_POINTS // step * step)  # whole sampler blocks
+    buf = np.empty((spec.dim, size))
+    merged = None
+    for q in range(0, samples, size):
+        cols = buf[:, : min(size, samples - q)]
+        _fill_columns(spec, seed, 0, samples, q, cols, on_sphere)
+        values = _eval_at_points(g, cols.T)  # a view of buf for a bare coordinate
+        with np.errstate(over="ignore", invalid="ignore"):  # checked after the merge
+            mean = float(np.mean(values))
+            block = (cols.shape[1], mean, float(np.sum((values - mean) ** 2)))
+        merged = block if merged is None else _merge_moments(merged, block)
+    n, mean, m2 = merged
     stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise expr.DomainError(g, "non-finite Monte Carlo moment")
@@ -410,8 +403,10 @@ def _mc_average(
 def mc_ball_average(g: Node, spec: BallSpec, samples: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the average of g over the ball.
 
-    Identical (g, spec, samples, seed) give identical bits: the chunks
-    of _CHUNK points run in order and merge left to right.
+    The points are one draw of `samples` from counter 0, streamed in
+    blocks whose moments merge left to right, so identical (g, spec,
+    samples, seed) give identical bits and memory does not grow with
+    `samples`.
     """
     return _mc_average(g, spec, samples, seed, on_sphere=False)
 

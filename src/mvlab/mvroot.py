@@ -204,6 +204,8 @@ def sweep_lambda(
         raise ValueError("need 0 < h_min < h_max")
     if steps < 4:
         raise ValueError("need steps >= 4")
+    if not math.isfinite(h_max / h_min):
+        raise ValueError("h_max / h_min overflows: narrow [h_min, h_max]")
     ratio = (h_max / h_min) ** (1.0 / (steps - 1))
     hs = [h_min * ratio**i for i in range(steps)]
     hs[-1] = h_max

@@ -401,6 +401,7 @@ def _rule_cases():
     for command in ("abscissa", "sweep"):
         yield case("bound", command, "--grid", "1000001", "must be at most 1000000")
     yield case("bound", "sweep", "--steps", "1001", "must be at most 1000")
+    yield case("ratio", "sweep", "--hmax", "1e306", "h_max / h_min overflows")
     for command in ("ball-check", "sphere-check"):
         yield case("bound", command, "--samples", "1000001", "must be at most 1000000")
     # an unparsable value names the form it expected, not a private function

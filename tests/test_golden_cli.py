@@ -2,9 +2,11 @@
 
 `golden_cli.json` maps each argv (shell-quoted) to [exit code, stdout]:
 the acceptance suite's `_CLI_COMMANDS` plus one ball and one sphere
-check whose sample count spans two chunks.  After an intended output
-change, regenerate with `PYTHONPATH=src python tests/test_golden_cli.py`
-and explain every difference in CHANGES.md.
+check whose sample count spans 17 Monte Carlo evaluation blocks, so
+their bits depend on the block size and the left-to-right moment merge.
+After an intended output change, regenerate with
+`PYTHONPATH=src python tests/test_golden_cli.py` and explain every
+difference in CHANGES.md.
 """
 
 import json
@@ -17,21 +19,21 @@ from test_acceptance import _CLI_COMMANDS, _run_cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
-_TWO_CHUNKS = str((1 << 19) + 777)  # just over one sampling chunk
+_MANY_BLOCKS = str((1 << 19) + 777)  # just over 16 evaluation blocks of 32,760 points
 
-MULTI_CHUNK = [
+MULTI_BLOCK = [
     [command, "--fn", fn, "--dim", "3", "--lambda", "0.5", "--trials", "2",
-     "--samples", _TWO_CHUNKS, "--seed", "13"]
+     "--samples", _MANY_BLOCKS, "--seed", "13"]
     for command, fn in (("ball-check", "x^2 - y^2 + z"), ("sphere-check", "x*y*z"))
 ]
 
 
-@pytest.mark.parametrize("argv", _CLI_COMMANDS + MULTI_CHUNK, ids=shlex.join)
+@pytest.mark.parametrize("argv", _CLI_COMMANDS + MULTI_BLOCK, ids=shlex.join)
 def test_cli_output_matches_golden(argv):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert list(_run_cli(argv)) == golden[shlex.join(argv)]
 
 
 if __name__ == "__main__":
-    table = {shlex.join(argv): _run_cli(argv) for argv in _CLI_COMMANDS + MULTI_CHUNK}
+    table = {shlex.join(argv): _run_cli(argv) for argv in _CLI_COMMANDS + MULTI_BLOCK}
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

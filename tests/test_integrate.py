@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,18 @@ class TestIntegrate1d:
     def test_orientation_validated(self):
         with pytest.raises(ValueError):
             integrate_1d(expr.parse("x"), 1.0, 0.0)
+
+    def test_infinite_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="interval endpoints must be finite"):
+            integrate_1d(expr.parse("1"), 0.0, math.inf)
+
+    def test_overflowing_width_rejected(self):
+        with pytest.raises(ValueError, match="b - a overflows"):
+            integrate_1d(expr.parse("1"), -1e308, 1e308)
+
+    def test_overflowing_sum_is_domain_error(self):
+        with pytest.raises(expr.DomainError, match="non-finite integral"):
+            integrate_1d(expr.parse("1e308"), 0.0, 10.0)
 
 
 class TestBallGeometry:
@@ -223,6 +236,12 @@ class TestSampleSphere:
         pt = sample_sphere_many(BallSpec((0.0, 0.0), 2.0), CounterRng(1), 1)[0]
         assert math.hypot(*pt) == pytest.approx(2.0, rel=1e-12)
 
+    def test_one_dimension_rejected(self):
+        rng = CounterRng(1, counter=10)
+        with pytest.raises(ValueError, match="a sphere needs dimension >= 2"):
+            sample_sphere_many(BallSpec((0.0,), 1.0), rng, 5)
+        assert rng.counter == 10
+
 
 class TestSamplerLaw:
     """Exact moments of the uniform law (Folland, Amer. Math. Monthly 108,
@@ -230,7 +249,7 @@ class TestSamplerLaw:
     3/(n(n+2)) and E[y_i^2 y_j^2] = 1/(n(n+2)) for i != j; in the ball
     E[|x - c|^2] = n h^2 / (n+2).  Each must hold within 5 standard errors."""
 
-    COUNT = (1 << 19) + 777  # past one Monte Carlo chunk
+    COUNT = (1 << 19) + 777  # past 16 Monte Carlo evaluation blocks
 
     @staticmethod
     def _assert_mean(values, exact, label):
@@ -301,11 +320,12 @@ class TestMcAverages:
         b = mc_ball_average(expr.parse("x^2 - y^2"), spec, 50000, 4242)
         assert a == b
 
-    def test_three_chunks_equal_whole_chunk_sampling(self):
-        # three chunks, the last with an odd number of Box-Muller draws
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_many_blocks_equal_one_draw(self, dim):
+        # 33 blocks; in n = 5 the draw ends with an odd number of Box-Muller draws
         g = expr.parse("x^2 - y^2 + x*z")
-        spec = BallSpec((1.0, 2.0, -0.5), 0.5)
-        samples = 2 * integrate._CHUNK + 777
+        spec = BallSpec((1.0, 2.0, -0.5, 0.25, 0.75)[:dim], 0.5)
+        samples = 2 * (1 << 19) + 777
         for average, on_sphere in ((mc_ball_average, False), (mc_sphere_average, True)):
             est = average(g, spec, samples, 11)
             expected = _reference_average(g, spec, samples, 11, on_sphere)
@@ -363,12 +383,15 @@ class TestMcAverages:
 
 
 def _reference_average(g, spec, samples, seed, on_sphere):
-    """The streamed average rebuilt from whole public sampler chunks."""
+    """The streamed average rebuilt from one public sampler draw: the same
+    blocks' moments, merged left to right."""
     sampler = sample_sphere_many if on_sphere else sample_ball_many
-    rng, moments = CounterRng(seed), []
-    for first in range(0, samples, integrate._CHUNK):
-        points = sampler(spec, rng, min(integrate._CHUNK, samples - first))
-        values = expr.eval_many(g, dict(enumerate(points.T, start=1)))
+    points = sampler(spec, CounterRng(seed), samples)
+    step = integrate._points_per_block(spec.dim)
+    size = integrate._EVAL_POINTS // step * step
+    moments = []
+    for q in range(0, samples, size):
+        values = expr.eval_many(g, dict(enumerate(points[q : q + size].T, start=1)))
         mean = float(np.mean(values))
         moments.append((len(values), mean, float(np.sum((values - mean) ** 2))))
     n, mean, m2 = functools.reduce(integrate._merge_moments, moments)
@@ -376,12 +399,12 @@ def _reference_average(g, spec, samples, seed, on_sphere):
 
 
 class TestStreamedChunks:
-    """Each chunk is sampled and evaluated in blocks of _EVAL_POINTS points;
-    the result must be the bits of sampling the whole chunk at once."""
+    """An average is one draw, sampled and evaluated in blocks of at most
+    _EVAL_POINTS points; the result must be the bits of the same blocks'
+    moments over one public sampler draw, merged left to right."""
 
     @pytest.mark.parametrize("samples", [
-        1000, integrate._EVAL_POINTS - 1, integrate._EVAL_POINTS + 1,
-        integrate._CHUNK + 777,
+        1000, integrate._EVAL_POINTS - 1, integrate._EVAL_POINTS + 1, (1 << 19) + 777,
     ])
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_bits_equal_whole_chunk_sampling(self, dim, samples):
@@ -396,11 +419,27 @@ class TestStreamedChunks:
 
     def test_first_bad_point_after_first_block(self):
         spec = BallSpec((0.0, 0.0), 1.0)
-        points = sample_ball_many(spec, CounterRng(6), integrate._CHUNK)
+        samples = 1 << 19
+        points = sample_ball_many(spec, CounterRng(6), samples)
         # no point of the first one and a half blocks has x > c
         c = float(np.max(points[: 3 * integrate._EVAL_POINTS // 2, 0]))
         first_bad = int(np.argmax(points[:, 0] > c))
         assert first_bad > integrate._EVAL_POINTS
         with pytest.raises(McDomainError) as err:
-            mc_ball_average(expr.parse(f"sqrt({c!r} - x)"), spec, integrate._CHUNK, 6)
+            mc_ball_average(expr.parse(f"sqrt({c!r} - x)"), spec, samples, 6)
         assert err.value.point == tuple(points[first_bad].tolist())
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        g = expr.parse("x^2 - y^2 + x*z")
+        spec = BallSpec((1.0, 2.0, -0.5), 0.5)
+        mc_ball_average(g, spec, 1 << 16, 5)  # warm up, untraced
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                mc_ball_average(g, spec, samples, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1_000_000) - peak(1 << 16) <= 0.5 * 2**20

@@ -3,9 +3,11 @@
 The samplers draw in cache-sized blocks; blocking must never change a
 bit.  (a) checks `uniforms` against a pure-Python splitmix64 oracle at
 counters that straddle block boundaries.  (b) pins the SHA-256 of the
-points and the counter advance of `sample_ball_many`/`sample_sphere_many`
-for n = 1..10 at counts around the block size and past one Monte Carlo
-chunk.  (c) rebuilds n = 2 and 3 points, whose directions come from an
+points and the counter advance of `sample_ball_many` for n = 1..10 and
+`sample_sphere_many` for n = 2..10 (a sphere needs n >= 2) at counts
+around the sampler block size and past 16 Monte Carlo evaluation blocks;
+a Monte Carlo average of `count` points draws in the same layout from
+counter 0.  (c) rebuilds n = 2 and 3 points, whose directions come from an
 angle and Archimedes' z rather than Box-Muller, from the oracle at the
 counters the README states.  The Box-Muller digests (n = 1 and 4..10)
 were generated before the samplers were blocked, the n = 2 and 3 ones
@@ -47,7 +49,6 @@ DIGESTS = {
     ("ball", 8): "68862eb2f1bb6c087f543dddce957cc6d323ee0f642c43b8fab96835f1b887f5",
     ("ball", 9): "e6c9a010f8249f31a9b5a00af30b5e60d0d6565802cd4d6b4b3ed5be0bf03018",
     ("ball", 10): "32bc734fc5636958cc29429904d1927625144574d879c18dbbdc3f2665608c6d",
-    ("sphere", 1): "7703c3f2ad467134a6892664f30c949780f589840097b174142d7d977b4d711d",
     ("sphere", 2): "2a45746f139f3800c2c58e98bfe44398721ba861a4e36afa43a467dbef66f413",
     ("sphere", 3): "8d50c683f9acfa536ca3538a3ea8d569bbb61182a121b040f22dc539b495d4d0",
     ("sphere", 4): "48aba7e8182ab736371bfeb6f6d8cea5330fbfdbc853ec5e045ca0ba594ae879",
@@ -154,14 +155,12 @@ def test_gaussians_digest():
     assert _gaussians_digest() == GAUSSIANS_DIGEST
 
 
-@pytest.mark.parametrize("dim", range(1, 11))
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind,dim", sorted(DIGESTS))
 def test_sampler_digest(kind, dim):
     assert _digest(kind, dim) == DIGESTS[(kind, dim)]
 
 
 if __name__ == "__main__":
     print(f'GAUSSIANS_DIGEST = "{_gaussians_digest()}"')
-    for kind in sorted(SAMPLERS):
-        for dim in range(1, 11):
-            print(f'    ("{kind}", {dim}): "{_digest(kind, dim)}",')
+    for kind, dim in sorted(DIGESTS):
+        print(f'    ("{kind}", {dim}): "{_digest(kind, dim)}",')
