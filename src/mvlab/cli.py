@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -426,10 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LIST_FLAGS = frozenset({"--coeffs", "--v", "--box", "--at"})
+_NEGATIVE_LIST = re.compile(r"-[\d.]|-[^-].*,")  # '-1,2', '-.5', '-inf,1'; not '-h'
+
+
+def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
+    """'--box -1,1' -> '--box=-1,1': argparse reads a detached value as a
+    number only when it looks like '-2', and takes '-1,1' for an option."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.match(word):
+            word = out.pop() + "=" + word
+        out.append(word)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

@@ -34,6 +34,30 @@ class TestPolyVerify:
         assert code == 0
 
 
+class TestDetachedNegativeLists:
+    """A detached list value that starts with a minus sign reads as the
+    attached one; argparse alone rejects `--box -1,1` with "expected one
+    argument" (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("poly-verify", "--coeffs", "-1,2,3", "--lambda", "1/2"),
+        ("vderiv", "--fn", "x+y", "--dim", "2", "--v", "-1,0", "--at", "1,1"),
+        ("ball-check", "--fn", "x", "--dim", "2", "--lambda", "1/2", "--trials", "3",
+         "--samples", "10000", "--box", "-1,1"),
+        ("laplacian", "--fn", "x^2*y", "--dim", "2", "--at", "-1.5,2"),
+    ], ids=lambda argv: next(w for w in argv if w in ("--coeffs", "--v", "--box", "--at")))
+    def test_detached_equals_attached(self, capsys, argv):
+        i = next(i for i, w in enumerate(argv) if w.startswith("--") and argv[i + 1][0] == "-")
+        attached = argv[:i] + (f"{argv[i]}={argv[i + 1]}",) + argv[i + 2:]
+        want = run(capsys, *attached)
+        assert want[0] in (0, 1) and want[1]
+        assert run(capsys, *argv) == want
+
+    def test_other_words_untouched(self):
+        argv = ["abscissa", "--a", "-2", "--b", "-1", "--box", "-h", "--v", "--at", "-h"]
+        assert cli._attach_negative_lists(argv) == argv
+
+
 class TestAbscissa:
     def test_exponential(self, capsys):
         code, out, _ = run(capsys, "abscissa", "--fn", "exp(x)", "--a", "0", "--b", "1")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+import sympy
 
 from mvlab import expr, integrate
 from mvlab.integrate import (
@@ -243,11 +244,26 @@ class TestSampleSphere:
         assert rng.counter == 10
 
 
+def sphere_moment(alpha, n: int) -> Fraction:
+    """Exact E[y^alpha] for y uniform on the unit sphere in R^n (Folland,
+    Amer. Math. Monthly 108, 2001): 0 unless every alpha_j is even, else
+    prod_j (alpha_j - 1)!! / (n (n+2) ... (n + |alpha| - 2)).  `alpha`
+    lists the exponents of y_1, y_2, ...; missing ones are 0."""
+    if any(a % 2 for a in alpha):
+        return Fraction(0)
+    double_factorials = math.prod(math.prod(range(a - 1, 0, -2)) for a in alpha)
+    return Fraction(double_factorials, math.prod(range(n, n + sum(alpha), 2)))
+
+
+def ball_moment(alpha, n: int) -> Fraction:
+    """Exact E[x^alpha] for x uniform in the unit ball of R^n: the radius
+    law n r^(n-1) dr contributes n / (n + |alpha|)."""
+    return sphere_moment(alpha, n) * Fraction(n, n + sum(alpha))
+
+
 class TestSamplerLaw:
-    """Exact moments of the uniform law (Folland, Amer. Math. Monthly 108,
-    2001): on the unit sphere E[y_i] = 0, E[y_i^2] = 1/n, E[y_i^4] =
-    3/(n(n+2)) and E[y_i^2 y_j^2] = 1/(n(n+2)) for i != j; in the ball
-    E[|x - c|^2] = n h^2 / (n+2).  Each must hold within 5 standard errors."""
+    """The sampled law against the exact moments of the uniform law on the
+    sphere and in the ball, n = 2..10, each within 5 standard errors."""
 
     COUNT = (1 << 19) + 777  # past 16 Monte Carlo evaluation blocks
 
@@ -256,17 +272,71 @@ class TestSamplerLaw:
         stderr = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - exact) <= 5.0 * stderr, label
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def _assert_law(self, y, moment):
+        """Every degree <= 4 monomial y^alpha of the set y_i, y_i^2, y_i^4
+        (each i) and y_i y_j, y_i^2 y_j^2, y_i^3 y_j (each i != j) has its
+        exact mean within 5 standard errors.  The sums of y^alpha and of
+        y^(2 alpha) come, block by block, from row sums of the powers of y
+        and one matrix product per exponent pair."""
+        count, n = y.shape
+        sums = {}  # exponents -> [sum of y^alpha, sum of y^(2 alpha)]
+        for q in range(0, count, 1 << 14):
+            powers = [None, np.ascontiguousarray(y[q : q + (1 << 14)].T)]
+            for _ in range(7):
+                powers.append(powers[-1] * powers[1])  # y^2 .. y^8, one row per coordinate
+            blocks = {p: (powers[p].sum(axis=1), powers[2 * p].sum(axis=1)) for p in (1, 2, 4)}
+            for a, b in ((1, 1), (2, 2), (3, 1)):
+                blocks[a, b] = (powers[a] @ powers[b].T, powers[2 * a] @ powers[2 * b].T)
+            for key, (s1, s2) in blocks.items():
+                total = sums.setdefault(key, [0.0, 0.0])
+                total[0] += s1
+                total[1] += s2
+        checks = [((i,), (p,), sums[p]) for p in (1, 2, 4) for i in range(n)]
+        checks += [((i, j), ab, sums[ab]) for ab in ((1, 1), (2, 2), (3, 1))
+                   for i in range(n) for j in range(n) if i < j or (i > j and ab == (3, 1))]
+        for where, exponents, (s1, s2) in checks:
+            alpha = [0] * n
+            for i, a in zip(where, exponents):
+                alpha[i] = a
+            mean = s1[where] / count
+            stderr = math.sqrt((s2[where] / count - mean * mean) / (count - 1))
+            assert abs(mean - float(moment(alpha, n))) <= 5.0 * stderr, alpha
+
+    def test_exact_moments_match_closed_forms(self):
+        for n in range(2, 11):
+            assert sphere_moment((2,), n) == Fraction(1, n)
+            assert sphere_moment((0, 4), n) == Fraction(3, n * (n + 2))
+            assert sphere_moment((2, 2), n) == Fraction(1, n * (n + 2))
+            assert sphere_moment((1,), n) == sphere_moment((3, 1), n) == 0
+            # E|x|^2 = n / (n + 2) in the unit ball
+            squares = (ball_moment((0,) * i + (2,), n) for i in range(n))
+            assert sum(squares) == Fraction(n, n + 2)
+            assert ball_moment((), n) == sphere_moment((), n) == 1
+
+    def test_exact_moment_matches_sympy_integral(self):
+        # E[y_1^4 y_3^2] on S^2, in spherical coordinates: 3 / (3 * 5 * 7)
+        theta, phi = sympy.symbols("theta phi")
+        y1, y3 = sympy.sin(theta) * sympy.cos(phi), sympy.cos(theta)
+        area_element = sympy.sin(theta)
+        inner = sympy.integrate(y1**4 * y3**2 * area_element, (phi, 0, 2 * sympy.pi))
+        mean = sympy.integrate(inner, (theta, 0, sympy.pi)) / (4 * sympy.pi)
+        assert sympy.Rational(mean) == sympy.Rational(1, 35)
+        assert sphere_moment((4, 0, 2), 3) == Fraction(1, 35)
+
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_sphere_moments(self, n):
         spec = BallSpec(tuple(0.5 - 0.25 * i for i in range(n)), 1.5)
         y = (sample_sphere_many(spec, CounterRng(17), self.COUNT) - spec.center) / 1.5
-        for i in range(n):
-            self._assert_mean(y[:, i], 0.0, ("E[y]", i))
-            self._assert_mean(y[:, i] ** 2, 1.0 / n, ("E[y^2]", i))
-            self._assert_mean(y[:, i] ** 4, 3.0 / (n * (n + 2)), ("E[y^4]", i))
-            for j in range(i + 1, n):
-                self._assert_mean(y[:, i] ** 2 * y[:, j] ** 2, 1.0 / (n * (n + 2)),
-                                  ("E[y_i^2 y_j^2]", i, j))
+        self._assert_law(y, sphere_moment)
+        # on the unit sphere about 0 the points are the directions themselves
+        y = sample_sphere_many(BallSpec((0.0,) * n, 1.0), CounterRng(17), self.COUNT)
+        assert np.max(np.abs(np.sum(y * y, axis=1) - 1.0)) <= 8 * 2.0**-52
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ball_moments(self, n):
+        spec = BallSpec(tuple(0.25 * i - 1.0 for i in range(n)), 0.75)
+        x = (sample_ball_many(spec, CounterRng(23), self.COUNT) - spec.center) / 0.75
+        self._assert_law(x, ball_moment)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_ball_second_moment(self, n):
@@ -322,7 +392,7 @@ class TestMcAverages:
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_many_blocks_equal_one_draw(self, dim):
-        # 33 blocks; in n = 5 the draw ends with an odd number of Box-Muller draws
+        # 33 evaluation blocks, the last a partial one
         g = expr.parse("x^2 - y^2 + x*z")
         spec = BallSpec((1.0, 2.0, -0.5, 0.25, 0.75)[:dim], 0.5)
         samples = 2 * (1 << 19) + 777
@@ -332,10 +402,12 @@ class TestMcAverages:
             assert (est.estimate, est.stderr) == expected
 
     @pytest.mark.parametrize("count", [1, 2, 777, 1000])
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", range(1, 11))
     def test_chunk_counter_offsets(self, count, dim):
         spec = BallSpec((0.0,) * dim, 1.0)
         for sampler, on_sphere in ((sample_ball_many, False), (sample_sphere_many, True)):
+            if on_sphere and dim == 1:
+                continue
             rng = CounterRng(5, counter=10)
             sampler(spec, rng, count)
             assert rng.counter - 10 == integrate._counters_used(count, dim, on_sphere)
@@ -387,8 +459,7 @@ def _reference_average(g, spec, samples, seed, on_sphere):
     blocks' moments, merged left to right."""
     sampler = sample_sphere_many if on_sphere else sample_ball_many
     points = sampler(spec, CounterRng(seed), samples)
-    step = integrate._points_per_block(spec.dim)
-    size = integrate._EVAL_POINTS // step * step
+    size = integrate._eval_block(spec.dim)
     moments = []
     for q in range(0, samples, size):
         values = expr.eval_many(g, dict(enumerate(points[q : q + size].T, start=1)))
@@ -416,6 +487,24 @@ class TestStreamedChunks:
             est = average(g, spec, samples, 99)
             expected = _reference_average(g, spec, samples, 99, on_sphere)
             assert (est.estimate, est.stderr) == expected
+
+    # (estimate, stderr) at the CLI default of 100,000 samples: 4 evaluation
+    # blocks, whose size (32,768 points in n = 2, 32,760 in n = 3) fixes the
+    # merge order and so these bits
+    MULTI_BLOCK_BITS = {
+        (2, False): ("0x1.2d03137cec4c3p+0", "0x1.5332deeb95149p-11"),
+        (2, True): ("0x1.2d89da176a5d1p+0", "0x1.057fc990edf57p-10"),
+        (3, False): ("0x1.e488a8c024efdp-1", "0x1.1986fedcb9e05p-10"),
+        (3, True): ("0x1.cbf243f90b654p-1", "0x1.81db61e747a27p-10"),
+    }
+
+    @pytest.mark.parametrize("dim,on_sphere", sorted(MULTI_BLOCK_BITS))
+    def test_multi_block_bits_pinned(self, dim, on_sphere):
+        g = expr.parse("exp(x/3)*cos(y) + x*y^2" if dim == 2 else "exp(x/3)*cos(y) + x*y*z^2")
+        spec = BallSpec((0.5, -0.25, 1.0)[:dim], 0.75)
+        average = mc_sphere_average if on_sphere else mc_ball_average
+        est = average(g, spec, 100_000, 21)
+        assert (est.estimate.hex(), est.stderr.hex()) == self.MULTI_BLOCK_BITS[(dim, on_sphere)]
 
     def test_first_bad_point_after_first_block(self):
         spec = BallSpec((0.0, 0.0), 1.0)

@@ -5,15 +5,15 @@ bit.  (a) checks `uniforms` against a pure-Python splitmix64 oracle at
 counters that straddle block boundaries.  (b) pins the SHA-256 of the
 points and the counter advance of `sample_ball_many` for n = 1..10 and
 `sample_sphere_many` for n = 2..10 (a sphere needs n >= 2) at counts
-around the sampler block size and past 16 Monte Carlo evaluation blocks;
+around a uniform block (2^14 draws), past one sampler block (12,288
+points) and past 16 Monte Carlo evaluation blocks;
 a Monte Carlo average of `count` points draws in the same layout from
-counter 0.  (c) rebuilds n = 2 and 3 points, whose directions come from an
-angle and Archimedes' z rather than Box-Muller, from the oracle at the
-counters the README states.  The Box-Muller digests (n = 1 and 4..10)
-were generated before the samplers were blocked, the n = 2 and 3 ones
-when those dimensions got their direct directions; regenerate them only
-for an intended change of the random stream, with
-`PYTHONPATH=src python tests/test_sampler_bits.py`, and say so in
+counter 0.  (c) rebuilds the points of every dimension from the oracle,
+counter by counter, at the counters the README states.  The n = 2 and 3
+digests date from when those dimensions got their direct directions, the
+n = 1 and 4..10 ones from when every dimension got the one projection
+rule; regenerate them only for an intended change of the random stream,
+with `PYTHONPATH=src python tests/test_sampler_bits.py`, and say so in
 CHANGES.md.
 """
 
@@ -39,25 +39,25 @@ COUNTS = (1, 7, (1 << 14) - 1, (1 << 14) + 1, (1 << 19) + 777)
 
 DIGESTS = {
     # (sampler, dim): SHA-256 over COUNTS of the points' bytes and counters used
-    ("ball", 1): "a74890c8b90137b986e764f656c207749a3bf22daaab07c3d539f4df69200983",
+    ("ball", 1): "7482563a59a0298f2f34624a38812394c4e85b8249437cdd7b8e15b8023cb3d5",
     ("ball", 2): "e2d5a000967de6b23c99cb2ebd5dcdc51860f9ded583d8e4cfa29ac9c5ce9880",
     ("ball", 3): "7bc60ea9a73ca28d160e53cbfdbb0e174a54623bdf0a9604d9c2ec4748653212",
-    ("ball", 4): "61a9286914f1ddecb53a1fe397d1628334c5a5e8bde658e60945eed436d816a8",
-    ("ball", 5): "9f25173a999376de94fda128d8b1c652156c4be21131f484dff7ec9434d59149",
-    ("ball", 6): "a5cec787d396ec98166f09356e282398c37c05817a6d8424ed203c579b562bb7",
-    ("ball", 7): "a25daf901f6ad9c52980bfc3c9effbdaa53fb411c45183ed8351e4a74ca9eb0e",
-    ("ball", 8): "68862eb2f1bb6c087f543dddce957cc6d323ee0f642c43b8fab96835f1b887f5",
-    ("ball", 9): "e6c9a010f8249f31a9b5a00af30b5e60d0d6565802cd4d6b4b3ed5be0bf03018",
-    ("ball", 10): "32bc734fc5636958cc29429904d1927625144574d879c18dbbdc3f2665608c6d",
+    ("ball", 4): "b24fec65ee25a6c968712d5f2fda605d0baee08fcb921a20f79406668ba609b5",
+    ("ball", 5): "ed94889012f8216f317de36035fd01f533945d42b808afda67a3c08495c840fe",
+    ("ball", 6): "074622e394c3d7a492155bc27c07f30f547e5c961fab5e41d9c9e57b6aa5a9b6",
+    ("ball", 7): "be891652ff18e1e5f46dfc11f4ab6268acd13433c8d71b1aeeebd8cafde92e56",
+    ("ball", 8): "424f71f6a8d4b9913731f0ed7e985d4a743239a6d1631993159e37f1b5e49284",
+    ("ball", 9): "65bd9c60f490bb5eda3632ee8ca758ca8b1cac0b584781a634c539611808219f",
+    ("ball", 10): "75448db8dda9188148781b95fd09684e78aa8df2dc19de4dc4cf6c6eedc58706",
     ("sphere", 2): "2a45746f139f3800c2c58e98bfe44398721ba861a4e36afa43a467dbef66f413",
     ("sphere", 3): "8d50c683f9acfa536ca3538a3ea8d569bbb61182a121b040f22dc539b495d4d0",
-    ("sphere", 4): "48aba7e8182ab736371bfeb6f6d8cea5330fbfdbc853ec5e045ca0ba594ae879",
-    ("sphere", 5): "7db9bab0a0ff9c78760255ea4c208409c203fc86c5b3c362b192b505f289ee46",
-    ("sphere", 6): "a924b772910c1430e6f4561d8e97f4aef931d1ac5c7863807920e52db295a605",
-    ("sphere", 7): "c705ae77411812d6f98890cfd815ac3d28bb451973a8183790d5d896d718be10",
-    ("sphere", 8): "0ab2634d7ec27f226a444108d3de54f2ead8af9e6f3de8678c26637be06df9dd",
-    ("sphere", 9): "0d7cac3af29c854795e62448d32a7afae617da6175da3776aa67138c1600f99e",
-    ("sphere", 10): "abb8858f38e82f8fab2855d3be318225b4041d985c878d3475296b169c3add4e",
+    ("sphere", 4): "8eb830bf6c84e19627093ccbf95a547b707aaa6dd35b0c5d190aa33b6da22363",
+    ("sphere", 5): "0b3e02dfe05bca5c5beb421de515b41584d21269a674ddfb7d9d2ddf2e499543",
+    ("sphere", 6): "172e232928f6726e88d023b019982bcc0558e056ea92132bf753cc59feb9896f",
+    ("sphere", 7): "491cbe9e4c8e2d4b0473c3e2795bec2afd9c7fc9815bca44adbdb16f79c956da",
+    ("sphere", 8): "43dd58e4e3ed1d4d6b954c0e4d8c30f7e284a76d5d3a77c8d76a8e347bce1ba7",
+    ("sphere", 9): "5f282432540683c8dce10fcfc0b3384a4157699cf122cd47f40495799f271aa9",
+    ("sphere", 10): "97eb54101995befe4d54ad543f610c52fbe2ffa4f6c79daeadc7c3ea205df3a9",
 }
 
 # gaussians(count) over COUNTS plus a count whose pairs just pass two blocks
@@ -109,19 +109,46 @@ def _gaussians_digest() -> str:
     return h.hexdigest()
 
 
+def _oracle_circle(u):
+    phi = (2.0 * u - 1.0) * math.pi
+    return math.cos(phi), math.sin(phi)
+
+
 def _oracle_point(seed, first, count, p, dim, h, on_sphere):
-    """(direction, radius) of point p of a draw of `count` points from
-    counter `first`: an angle at first + p, in n = 3 a z at first + count
-    + p, then a ball radius at first + count*(dim - 1) + p."""
-    phi = (2.0 * _oracle_uniform(seed, first + p) - 1.0) * math.pi
-    if dim == 2:
-        direction = [math.cos(phi), math.sin(phi)]
-    else:
-        z = 1.0 - 2.0 * _oracle_uniform(seed, first + count + p)
+    """Point p, less the centre, of a draw of `count` points from counter
+    `first`, with a relative slack per coordinate.  Uniform j is read at
+    first + j*count + p: the direction takes j < dim - 1, a ball radius
+    j = dim - 1.  The arithmetic follows the sampler's, operation by
+    operation, so only libm's and numpy's pow, log and expm1 may differ
+    (by at most 1 ulp over 2e5 random arguments).  A factor u^(1/m) may then
+    differ by 2 ulp, relatively, in every coordinate it scales, and a
+    factor sqrt(-expm1(log(v) 2/m)) by 4 ulp."""
+    u = [_oracle_uniform(seed, first + j * count + p) for j in range(dim - on_sphere)]
+    if dim == 1:
+        return [h * (2.0 * u[0] - 1.0)], [0.0]
+    pow_slack = 2 * 2.0**-52
+    scale, slack = (h, 0.0) if on_sphere else (h * u[dim - 1] ** (1.0 / dim), pow_slack)
+    point, rel = [0.0] * dim, [0.0] * dim
+    k = dim
+    while k > 3:  # (t w, s cos psi, s sin psi) with w on S^(k-3), v = 1 - u
+        v = 1.0 - u[k - 3]
+        t = v ** (1.0 / (k - 2))
+        fs = math.sqrt(-math.expm1(math.log(v) * (2.0 / (k - 2)))) * scale
+        cos, sin = _oracle_circle(u[k - 2])
+        point[k - 2 : k] = [cos * fs, sin * fs]
+        rel[k - 2 : k] = [slack + 2 * pow_slack] * 2
+        scale, slack = scale * t, slack + pow_slack
+        k -= 2
+    cos, sin = _oracle_circle(u[0])
+    if k == 3:  # Archimedes' z
+        z = 1.0 - 2.0 * u[1]
         s = math.sqrt((1.0 - z) * (1.0 + z))
-        direction = [math.cos(phi) * s, math.sin(phi) * s, z]
-    u = _oracle_uniform(seed, first + count * (dim - 1) + p)
-    return direction, h if on_sphere else h * u ** (1.0 / dim)
+        base = [cos * s, sin * s, z]
+    else:
+        base = [cos, sin]
+    point[:k] = [b * scale for b in base]
+    rel[:k] = [slack] * k
+    return point, rel
 
 
 def _oracle_indices(count, step):
@@ -131,24 +158,20 @@ def _oracle_indices(count, step):
     return sorted(p for p in picked if 0 <= p < count)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("kind,dim", sorted(DIGESTS))
 def test_direct_directions_match_oracle(kind, dim):
     sampler, on_sphere = SAMPLERS[kind]
-    spec, step = BallSpec([0.0] * dim, 1.5), integrate._points_per_block(dim)
+    spec = BallSpec([0.0] * dim, 1.5)
     for first in (0, integrate._BLOCK - 3, (1 << 40) + 1):
         for count in COUNTS:
             rng = CounterRng(SEED, first)
             points = sampler(spec, rng, count)
             assert rng.counter - first == count * (dim - 1) + (0 if on_sphere else count)
             assert rng.counter - first == integrate._counters_used(count, dim, on_sphere)
-            for p in _oracle_indices(count, step):
-                direction, rho = _oracle_point(SEED, first, count, p, dim, 1.5, on_sphere)
-                # numpy's array pow and libm's may round u^(1/n) up to 2 ulp apart
-                slack = 0.0 if on_sphere else 2 * math.ulp(rho)
-                for got, d in zip(points[p].tolist(), direction):
-                    want = d * rho
-                    assert abs(got - want) <= 2 * math.ulp(want) + abs(d) * slack, (count, p)
+            for p in _oracle_indices(count, integrate._ROW):
+                want, rel = _oracle_point(SEED, first, count, p, dim, 1.5, on_sphere)
+                for got, w, r in zip(points[p].tolist(), want, rel):
+                    assert abs(got - w) <= 2 * math.ulp(w) + abs(w) * r, (count, p)
 
 
 def test_gaussians_digest():
