@@ -427,16 +427,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LIST_FLAGS = frozenset({"--coeffs", "--v", "--box", "--at"})
-_NEGATIVE_LIST = re.compile(r"-[\d.]|-[^-].*,")  # '-1,2', '-.5', '-inf,1'; not '-h'
+_DETACHED_LIST = re.compile(r"-[^-].*,")  # '-1,2', '-inf,1'; never an option
 
 
 def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
-    """'--box -1,1' -> '--box=-1,1': argparse reads a detached value as a
-    number only when it looks like '-2', and takes '-1,1' for an option."""
+    """'--box -1,1' -> '--box=-1,1': argparse reads a detached value that
+    starts with '-' as a value only when it looks like '-2' or '-.5', and
+    takes '-1,1' for an option.  A word with a comma is never an option, so
+    it joins the '--flag' (or its abbreviation) before it."""
     out: list[str] = []
     for word in argv:
-        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.match(word):
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag != "--" and "=" not in flag and _DETACHED_LIST.match(word):
             word = out.pop() + "=" + word
         out.append(word)
     return out

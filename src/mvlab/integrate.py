@@ -252,12 +252,6 @@ def sphere_area(n: int, h: float) -> float:
 # Sampling
 
 
-# points per sampler block: a draw at the checkers' minimum of 10,000 samples
-# is one block, and each one-row temporary (96 KiB) stays under glibc's
-# 128 KiB mmap threshold, so it is not mapped and faulted in afresh
-_ROW = 12288
-
-
 def _fill_columns(
     spec: BallSpec, seed: int, first: int, count: int, q: int, out: np.ndarray,
     on_sphere: bool,
@@ -267,8 +261,8 @@ def _fill_columns(
     first + j*count + p, put in row j of its column, and `_map_uniforms`
     turns each column into its point in place."""
     rows, end = _counters_used(1, spec.dim, on_sphere), q + out.shape[1]
-    for p in range(q, end, _ROW):
-        block = out[:, p - q : p - q + min(_ROW, end - p)]
+    for p in range(q, end, _BLOCK):
+        block = out[:, p - q : p - q + min(_BLOCK, end - p)]
         for j in range(rows):
             _fill_uniforms(seed, first + j * count + p, block[j])
         _map_uniforms(block, spec, on_sphere)

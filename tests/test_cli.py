@@ -45,7 +45,8 @@ class TestDetachedNegativeLists:
         ("ball-check", "--fn", "x", "--dim", "2", "--lambda", "1/2", "--trials", "3",
          "--samples", "10000", "--box", "-1,1"),
         ("laplacian", "--fn", "x^2*y", "--dim", "2", "--at", "-1.5,2"),
-    ], ids=lambda argv: next(w for w in argv if w in ("--coeffs", "--v", "--box", "--at")))
+        ("poly-verify", "--coef", "-1,2,3", "--lambda", "1/2"),
+    ], ids=lambda argv: next(w for w, v in zip(argv, argv[1:]) if w[:2] == "--" and v[0] == "-"))
     def test_detached_equals_attached(self, capsys, argv):
         i = next(i for i, w in enumerate(argv) if w.startswith("--") and argv[i + 1][0] == "-")
         attached = argv[:i] + (f"{argv[i]}={argv[i + 1]}",) + argv[i + 2:]
@@ -54,7 +55,8 @@ class TestDetachedNegativeLists:
         assert run(capsys, *argv) == want
 
     def test_other_words_untouched(self):
-        argv = ["abscissa", "--a", "-2", "--b", "-1", "--box", "-h", "--v", "--at", "-h"]
+        argv = ["abscissa", "--a", "-2", "--b", "-1", "--box", "-h", "--v", "--at", "-h",
+                "--at=-1,1", "-2,2", "--", "-1,2"]
         assert cli._attach_negative_lists(argv) == argv
 
 

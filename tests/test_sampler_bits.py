@@ -5,9 +5,8 @@ bit.  (a) checks `uniforms` against a pure-Python splitmix64 oracle at
 counters that straddle block boundaries.  (b) pins the SHA-256 of the
 points and the counter advance of `sample_ball_many` for n = 1..10 and
 `sample_sphere_many` for n = 2..10 (a sphere needs n >= 2) at counts
-around a uniform block (2^14 draws), past one sampler block (12,288
-points) and past 16 Monte Carlo evaluation blocks;
-a Monte Carlo average of `count` points draws in the same layout from
+around the sampler block size (2^14 points) and past 16 Monte Carlo
+evaluation blocks; a Monte Carlo average of `count` points draws in the same layout from
 counter 0.  (c) rebuilds the points of every dimension from the oracle,
 counter by counter, at the counters the README states.  The n = 2 and 3
 digests date from when those dimensions got their direct directions, the
@@ -116,28 +115,31 @@ def _oracle_circle(u):
 
 def _oracle_point(seed, first, count, p, dim, h, on_sphere):
     """Point p, less the centre, of a draw of `count` points from counter
-    `first`, with a relative slack per coordinate.  Uniform j is read at
+    `first`, with an absolute slack per coordinate.  Uniform j is read at
     first + j*count + p: the direction takes j < dim - 1, a ball radius
     j = dim - 1.  The arithmetic follows the sampler's, operation by
     operation, so only libm's and numpy's pow, log and expm1 may differ
-    (by at most 1 ulp over 2e5 random arguments).  A factor u^(1/m) may then
-    differ by 2 ulp, relatively, in every coordinate it scales, and a
-    factor sqrt(-expm1(log(v) 2/m)) by 4 ulp."""
+    (by at most 1 ulp over 2e5 random arguments).  A factor f = u^(1/m)
+    may then be 2 ulp(f) off, and a factor sqrt(-expm1(log(v) 2/m)) 4 ulp
+    of itself; the slack sums each such error times the coordinate's other
+    factors.  In n = 2 and 3 that is |direction_i| * 2 ulp(rho) for a ball
+    point and 0 for a sphere point."""
     u = [_oracle_uniform(seed, first + j * count + p) for j in range(dim - on_sphere)]
     if dim == 1:
         return [h * (2.0 * u[0] - 1.0)], [0.0]
-    pow_slack = 2 * 2.0**-52
-    scale, slack = (h, 0.0) if on_sphere else (h * u[dim - 1] ** (1.0 / dim), pow_slack)
-    point, rel = [0.0] * dim, [0.0] * dim
+    scale = h if on_sphere else h * u[dim - 1] ** (1.0 / dim)
+    factors = [] if on_sphere else [(scale, 2)]  # (factor, ulps it may be off)
+    point, slack = [0.0] * dim, [0.0] * dim
     k = dim
     while k > 3:  # (t w, s cos psi, s sin psi) with w on S^(k-3), v = 1 - u
         v = 1.0 - u[k - 3]
         t = v ** (1.0 / (k - 2))
-        fs = math.sqrt(-math.expm1(math.log(v) * (2.0 / (k - 2)))) * scale
+        s = math.sqrt(-math.expm1(math.log(v) * (2.0 / (k - 2))))
         cos, sin = _oracle_circle(u[k - 2])
-        point[k - 2 : k] = [cos * fs, sin * fs]
-        rel[k - 2 : k] = [slack + 2 * pow_slack] * 2
-        scale, slack = scale * t, slack + pow_slack
+        point[k - 2 : k] = [cos * (s * scale), sin * (s * scale)]
+        slack[k - 2 : k] = [_factor_slack(b, factors + [(s, 4)]) for b in (cos, sin)]
+        scale = scale * t
+        factors.append((t, 2))
         k -= 2
     cos, sin = _oracle_circle(u[0])
     if k == 3:  # Archimedes' z
@@ -147,8 +149,20 @@ def _oracle_point(seed, first, count, p, dim, h, on_sphere):
     else:
         base = [cos, sin]
     point[:k] = [b * scale for b in base]
-    rel[:k] = [slack] * k
-    return point, rel
+    slack[:k] = [_factor_slack(b, factors) for b in base]
+    return point, slack
+
+
+def _factor_slack(base, factors):
+    # sum over the inexact factors f of base * prod(factors) of ulps * ulp(f)
+    # times |base * the other factors|
+    total = 0.0
+    for i, (f, ulps) in enumerate(factors):
+        others = base
+        for g, _ in factors[:i] + factors[i + 1 :]:
+            others *= g
+        total += ulps * math.ulp(f) * abs(others)
+    return total
 
 
 def _oracle_indices(count, step):
@@ -168,10 +182,10 @@ def test_direct_directions_match_oracle(kind, dim):
             points = sampler(spec, rng, count)
             assert rng.counter - first == count * (dim - 1) + (0 if on_sphere else count)
             assert rng.counter - first == integrate._counters_used(count, dim, on_sphere)
-            for p in _oracle_indices(count, integrate._ROW):
-                want, rel = _oracle_point(SEED, first, count, p, dim, 1.5, on_sphere)
-                for got, w, r in zip(points[p].tolist(), want, rel):
-                    assert abs(got - w) <= 2 * math.ulp(w) + abs(w) * r, (count, p)
+            for p in _oracle_indices(count, integrate._BLOCK):
+                want, slack = _oracle_point(SEED, first, count, p, dim, 1.5, on_sphere)
+                for got, w, e in zip(points[p].tolist(), want, slack):
+                    assert abs(got - w) <= 2 * math.ulp(w) + e, (count, p)
 
 
 def test_gaussians_digest():
