@@ -5,10 +5,16 @@ stream with seed s is mix64(s + (i+1) * GOLDEN), where mix64 is the
 splitmix64 finalizer.  Outputs are pure functions of (seed, counter).  A
 draw of m ball or sphere points from counter c gives point p the uniforms
 u_j at counters c + j*m + p (`_counters_used`), and one direction rule
-serves every n (`sample_ball_many`).  Within a call, points are made in
-cache-sized blocks: `_fill_columns` fills a block's uniforms from
-consecutive counters and `_map_uniforms` maps them to its points, so
-blocking never changes a bit; buffers are local to each call.
+serves every n (`sample_ball_many`).  Its angles call no libm sin or cos:
+`_unit_circle` reduces phi = pi (2u - 1) by quarter turns exactly, in the
+style of Cody and Waite (Software Manual for the Elementary Functions,
+1980), evaluates sin on [-pi/4, pi/4] by fdlibm's odd polynomial, and
+turns the result back by products with 0 and +-1; each coordinate the
+tests check against 130-bit values lies within 2 ulp of them.  Within a
+call, points are made in cache-sized blocks: `_fill_columns` fills a
+block's uniforms from consecutive counters and `_map_uniforms` maps them
+to its points, so blocking never changes a bit; buffers are local to each
+call.
 A Monte Carlo average of `samples` points is one such draw from counter 0,
 the points of one `sample_*_many(spec, CounterRng(seed), samples)` call.
 It is sampled and evaluated in order, in blocks of at most _EVAL_POINTS
@@ -296,15 +302,51 @@ def _map_uniforms(x: np.ndarray, spec: BallSpec, on_sphere: bool) -> None:
     x += np.asarray(spec.center)[:, None]
 
 
+# sin x = x + x^3 (S1 + x^2 S2 + ... + x^10 S6) on |x| <= pi/4, within 2^-58
+# relative: the odd minimax polynomial of fdlibm's k_sin.c (__kernel_sin)
+_S1, _S2, _S3 = -1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04
+_S4, _S5, _S6 = 2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10
+
+
 def _unit_circle(x: np.ndarray) -> None:
     """Overwrite the (2, m) array `x` with (cos phi, sin phi), where phi =
-    pi (2u - 1) for the uniforms u in its first row."""
-    phi = x[0]
-    phi *= 2.0
-    phi -= 1.0  # exact; libm's sin/cos are cheaper on [-pi, pi) than on [0, 2 pi)
-    phi *= math.pi
-    np.sin(phi, out=x[1])
-    np.cos(phi, out=phi)
+    pi (2u - 1) for the uniforms u in its first row; its second row is
+    scratch.  The quarter-turn reduction is exact: y = 4u, k = rint(y) in
+    {0..4} and w = y - k in [-1/2, 1/2], so phi = k pi/2 - pi + theta for
+    theta = (pi/2) w, |theta| <= pi/4.  s = sin theta is fdlibm's
+    polynomial, c = sqrt((1 - s)(1 + s)) is accurate as |s| <= 0.7072, and
+    the turn by k pi/2 - pi rotates (c, s) by A = cos(k pi/2 - pi) = 1 - |k - 2|
+    and B = sin(k pi/2 - pi) = (k - 2)(1 + A), products by 0 or +-1 that are
+    exact.  No libm sin or cos is called."""
+    y, k = x[0], x[1]
+    y *= 4.0
+    np.rint(y, out=k)
+    y -= k
+    y *= 0.5 * math.pi  # theta
+    z = y * y
+    s = z * _S6
+    for coef in (_S5, _S4, _S3, _S2):
+        s += coef
+        s *= z
+    s += _S1
+    z *= y
+    s *= z
+    s += y  # theta + theta^3 (S1 + z (S2 + ...)), in fdlibm's order
+    np.subtract(1.0, s, out=z)
+    np.add(1.0, s, out=y)
+    z *= y
+    c = np.sqrt(z, out=z)
+    k -= 2.0
+    a = np.abs(k, out=y)
+    np.subtract(2.0, a, out=a)  # 1 + A
+    k *= a  # B
+    a -= 1.0  # A
+    bs = k * s
+    s *= a
+    k *= c
+    k += s  # B c + A s
+    c *= a
+    np.subtract(c, bs, out=a)  # A c - B s
 
 
 def _sample(spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool) -> np.ndarray:
@@ -329,7 +371,10 @@ def sample_ball_many(spec: BallSpec, rng: CounterRng, count: int) -> np.ndarray:
     Barthe, Guedon, Mendelson and Naor, Ann. Probab. 33, 2005), no
     Gaussian, norm or division is needed.  Radius: h u_{n-1}^(1/n), which
     makes the density uniform in volume; in n = 1 the point is c + h (2 u_0
-    - 1).
+    - 1).  Each angle pi (2u - 1) is reduced exactly to theta = (pi/2)(4u - k),
+    k = rint(4u), with |theta| <= pi/4; sin theta is a polynomial and the
+    quarter turns k pi/2 - pi are exact, so no libm sin or cos is called
+    (`_unit_circle`).
     """
     return _sample(spec, rng, count, on_sphere=False)
 
@@ -351,12 +396,6 @@ def _counters_used(count: int, dim: int, on_sphere: bool) -> int:
 # Monte Carlo averages
 
 _EVAL_POINTS = 1 << 15  # points sampled and evaluated per block of a draw
-
-
-def _eval_block(dim: int) -> int:
-    # the block size fixes the merge order; n = 3 keeps the 32,760 points
-    # its pinned averages (golden entries, criterion 5) were merged in
-    return 32760 if dim == 3 else _EVAL_POINTS
 
 
 def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
@@ -390,7 +429,7 @@ def _mc_average(
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     # blocks run in order, so a domain error names the draw's first bad point
-    size = min(samples, _eval_block(spec.dim))
+    size = min(samples, _EVAL_POINTS)
     buf = np.empty((spec.dim, size))
     merged = None
     for q in range(0, samples, size):

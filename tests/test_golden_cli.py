@@ -19,7 +19,7 @@ from test_acceptance import _CLI_COMMANDS, _run_cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
-_MANY_BLOCKS = str((1 << 19) + 777)  # just over 16 evaluation blocks of 32,760 points
+_MANY_BLOCKS = str((1 << 19) + 777)  # just over 16 evaluation blocks of 32,768 points
 
 MULTI_BLOCK = [
     [command, "--fn", fn, "--dim", "3", "--lambda", "0.5", "--trials", "2",

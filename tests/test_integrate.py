@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -244,6 +245,51 @@ class TestSampleSphere:
         assert rng.counter == 10
 
 
+class TestUnitCircle:
+    """`_unit_circle` against (cos, sin) of pi (2u - 1) at 130 bits: seeded
+    uniforms, the ties w = +-1/2 of the quarter-turn rint (u = j/8) and
+    their neighbours j/8 +- 2^-53, and the quarter turns u = j/4, where the
+    point is exact."""
+
+    EDGES = [j / 8 + d for j in range(9) for d in (-(2.0**-53), 0.0, 2.0**-53)
+             if 0 <= j / 8 + d < 1]
+
+    @staticmethod
+    def _circle(u):
+        x = np.empty((2, len(u)))
+        x[0] = u
+        integrate._unit_circle(x)
+        return x
+
+    def test_within_two_ulp_of_exact(self):
+        u = np.concatenate([CounterRng(17).uniforms(10_000), self.EDGES])
+        x = self._circle(u)
+        with mpmath.workprec(130):
+            for ui, cos, sin in zip(u.tolist(), *x.tolist()):
+                if (4 * ui) % 1 == 0:
+                    continue  # test_quarter_turns_exact
+                phi = mpmath.pi * (2 * mpmath.mpf(ui) - 1)
+                for got, exact in ((cos, mpmath.cos(phi)), (sin, mpmath.sin(phi))):
+                    assert abs(got - exact) <= 2 * math.ulp(float(exact)), ui
+        norm = x[0] * x[0] + x[1] * x[1] - 1.0
+        assert float(np.max(np.abs(norm))) <= 2 * math.ulp(1.0)
+
+    def test_quarter_turns_exact(self):
+        x = self._circle(np.array([0.0, 0.25, 0.5, 0.75]))
+        assert x.T.tolist() == [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
+
+    def test_samplers_call_no_libm_trig(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler called a libm trig function")
+
+        monkeypatch.setattr(np, "sin", refuse)
+        monkeypatch.setattr(np, "cos", refuse)
+        for dim in range(2, 11):
+            spec = BallSpec((0.0,) * dim, 1.0)
+            sample_ball_many(spec, CounterRng(3), 100)
+            sample_sphere_many(spec, CounterRng(3), 100)
+
+
 def sphere_moment(alpha, n: int) -> Fraction:
     """Exact E[y^alpha] for y uniform on the unit sphere in R^n (Folland,
     Amer. Math. Monthly 108, 2001): 0 unless every alpha_j is even, else
@@ -459,7 +505,7 @@ def _reference_average(g, spec, samples, seed, on_sphere):
     blocks' moments, merged left to right."""
     sampler = sample_sphere_many if on_sphere else sample_ball_many
     points = sampler(spec, CounterRng(seed), samples)
-    size = integrate._eval_block(spec.dim)
+    size = integrate._EVAL_POINTS
     moments = []
     for q in range(0, samples, size):
         values = expr.eval_many(g, dict(enumerate(points[q : q + size].T, start=1)))
@@ -489,13 +535,13 @@ class TestStreamedChunks:
             assert (est.estimate, est.stderr) == expected
 
     # (estimate, stderr) at the CLI default of 100,000 samples: 4 evaluation
-    # blocks, whose size (32,768 points in n = 2, 32,760 in n = 3) fixes the
+    # blocks, whose size (_EVAL_POINTS, 32,768 points in every n) fixes the
     # merge order and so these bits
     MULTI_BLOCK_BITS = {
         (2, False): ("0x1.2d03137cec4c3p+0", "0x1.5332deeb95149p-11"),
         (2, True): ("0x1.2d89da176a5d1p+0", "0x1.057fc990edf57p-10"),
         (3, False): ("0x1.e488a8c024efdp-1", "0x1.1986fedcb9e05p-10"),
-        (3, True): ("0x1.cbf243f90b654p-1", "0x1.81db61e747a27p-10"),
+        (3, True): ("0x1.cbf243f90b654p-1", "0x1.81db61e747a26p-10"),
     }
 
     @pytest.mark.parametrize("dim,on_sphere", sorted(MULTI_BLOCK_BITS))
