@@ -1,5 +1,11 @@
 """Deterministic 1-D quadrature and seeded Monte Carlo over balls/spheres.
 
+The 1-D rule is composite Gauss-Legendre.  Its reference nodes and weights
+are computed once per node count and kept in a small cache of read-only
+arrays (`_gauss_legendre`), and `_composite_rule` lays the rule on a whole
+array of intervals at once, each row with the bits of a one-interval call,
+so a checker can evaluate the nodes of many intervals in one pass.
+
 Randomness comes from a 64-bit counter-based generator: draw i of a
 stream with seed s is mix64(s + (i+1) * GOLDEN), where mix64 is the
 splitmix64 finalizer.  Outputs are pure functions of (seed, counter).  A
@@ -36,6 +42,7 @@ finite values can overflow), is a DomainError too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -200,13 +207,39 @@ def _integrand_values(f: Integrand, points: np.ndarray) -> np.ndarray:
     return expr.eval_many(f, expr._bind_univariate(f, points))
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+    ref_x.flags.writeable = ref_w.flags.writeable = False
+    return ref_x, ref_w
+
+
+def _composite_rule(
+    lo: np.ndarray, hi: np.ndarray, panels: int, nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, each of shape (len(lo), panels * nodes), of the
+    composite rule on every interval [lo[i], hi[i]].  Row i has the bits of
+    a one-interval call: linspace along axis 1 makes the same operations
+    per row (unless some row's panel width underflows to 0, which numpy
+    then handles for all rows at once)."""
+    ref_x, ref_w = _gauss_legendre(nodes)
+    edges = np.linspace(lo, hi, panels + 1, axis=1)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])  # (len(lo), panels)
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    points = (mid[:, :, None] + half[:, :, None] * ref_x).reshape(len(lo), -1)
+    weights = (half[:, :, None] * ref_w).reshape(len(lo), -1)
+    return points, weights
+
+
 def integrate_1d(
     f: Integrand, a: float, b: float, panels: int = 64, nodes: int = 16
 ) -> float:
     """Composite Gauss-Legendre quadrature of f over [a, b].
 
     `panels` equal panels of `nodes` points each; exact (to roundoff) for
-    polynomials of degree <= 2*nodes - 1.  The integrand is a parsed
+    polynomials of degree <= 2*nodes - 1.  The reference rule of each node
+    count is computed once and cached.  The integrand is a parsed
     expression or a vectorized callable.  [a, b] follows the
     `mvroot.Interval` rules.  An expression whose weighted sum overflows
     raises DomainError; a callable's sum is returned unchecked, for its
@@ -215,15 +248,10 @@ def integrate_1d(
     mvroot.Interval(a, b)
     if panels < 1 or nodes < 1:
         raise ValueError("panels and nodes must be >= 1")
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])  # (panels,)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    points = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
-    weights = (half[:, None] * ref_w[None, :]).ravel()
-    values = _integrand_values(f, points)
+    points, weights = _composite_rule(np.array([a]), np.array([b]), panels, nodes)
+    values = _integrand_values(f, points[0])
     with np.errstate(over="ignore"):
-        total = float(np.dot(weights, values))
+        total = float(np.dot(weights[0], values))
     if not callable(f) and not math.isfinite(total):
         raise expr.DomainError(f, "non-finite integral")
     return total

@@ -27,9 +27,10 @@ trial or point count, with every seeded instance draw, in `_draw`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -106,25 +107,29 @@ def _verdict(
     seed: int,
     residuals: list[float],
     allowed: list[float],
-    cases: list[dict[str, Any]],
+    case: Callable[[int], dict[str, Any]],
 ) -> PropertyVerdict:
     """Verdict over per-trial residuals: trial i is a violation when
-    residuals[i] > allowed[i]; the worst case is the first maximal one."""
-    if not all(map(math.isfinite, residuals + allowed)):
+    residuals[i] > allowed[i]; the worst case is the first maximal one.
+    `case(i)` describes trial i; only the worst trial and the reported
+    counterexamples are described, so memory stays per-trial floats."""
+    if not all(map(math.isfinite, itertools.chain(residuals, allowed))):
         raise expr.DomainError(g, "non-finite residual")
-    counterexamples = [
-        {**case, "residual": r} for r, a, case in zip(residuals, allowed, cases) if r > a
-    ]
+    violations = (i for i, (r, a) in enumerate(zip(residuals, allowed)) if r > a)
+    counterexamples = tuple(
+        {**case(i), "residual": residuals[i]}
+        for i in itertools.islice(violations, _MAX_COUNTEREXAMPLES)
+    )
     worst = max(range(len(residuals)), key=residuals.__getitem__)
     return PropertyVerdict(
         property_name=name,
         holds=not counterexamples,
         trials=len(residuals),
         worst_residual=residuals[worst],
-        worst_case=cases[worst],
+        worst_case=case(worst),
         tolerance=tol,
         seed=seed,
-        counterexamples=tuple(counterexamples[:_MAX_COUNTEREXAMPLES]),
+        counterexamples=counterexamples,
         trial_residuals=tuple(residuals),
     )
 
@@ -140,14 +145,14 @@ def _draw(ranges: Sequence[tuple[float, float]], count: int, seed: int, what: st
 
 def _sample_intervals(
     domain: Interval, trials: int, seed: int
-) -> list[tuple[float, float]]:
-    """Seeded random subintervals of `domain`, separated by >= width/100
-    so secant slopes stay clear of catastrophic cancellation."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (a, b) of seeded random subintervals of `domain`, of width
+    >= width/100 so secant slopes stay clear of catastrophic cancellation."""
     u1, u2 = _draw([(0.0, 1.0)] * 2, trials, seed, "trials").T
     gap = domain.width / 100.0
     a = domain.a + u1 * (domain.width - gap)
     b = a + gap + u2 * (domain.b - a - gap)
-    return list(zip(a.tolist(), b.tolist()))
+    return a, b
 
 
 def check_weighted_property(
@@ -161,22 +166,52 @@ def check_weighted_property(
     """Does (f(b) - f(a))/(b - a) = f'(lam*a + (1-lam)*b) on random
     subintervals of `domain`?  Residuals are relative to 1 + |slope|."""
     lam = WeightSpec(lam).lam
-    intervals = _sample_intervals(domain, trials, seed)
+    a, b = (e.tolist() for e in _sample_intervals(domain, trials, seed))
     residuals = []
-    for a, b in intervals:
-        slope = mvroot.average_slope(f, Interval(a, b))
-        deriv = calculus.derivatives_1d(f, lam * a + (1.0 - lam) * b)[1]
+    for ai, bi in zip(a, b):
+        # an inf slope is not raised here: the trial's f' is still computed, so
+        # an f' that overflows is the error reported, else _verdict refuses the NaN
+        slope = mvroot._secant(f, Interval(ai, bi))
+        deriv = calculus.derivatives_1d(f, lam * ai + (1.0 - lam) * bi)[1]
         residuals.append(abs(slope - deriv) / (1.0 + abs(slope)))
     return _verdict(
         f"weighted-mean-value(lambda={lam!r})", f, tol, seed, residuals,
-        [tol] * trials, [{"a": a, "b": b} for a, b in intervals],
+        [tol] * trials, lambda i: {"a": a[i], "b": b[i]},
     )
 
 
 # Gauss-Legendre rule for the interval average of f' in check_interval_mvp:
-# 8 panels of 16 nodes, exact for polynomials of degree <= 31
+# 8 panels of 16 nodes, exact for polynomials of degree <= 31; the nodes of
+# up to _EVAL_POINTS // 128 trials are evaluated in one pass
 _INTERVAL_PANELS = 8
 _INTERVAL_NODES = 16
+_INTERVAL_BLOCK = integrate._EVAL_POINTS // (_INTERVAL_PANELS * _INTERVAL_NODES)
+
+
+def _interval_residuals(f: Node, lam: float, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Residuals of a block of check_interval_mvp trials.  One pass gives
+    f' at every trial's nodes; each trial keeps its own dot product and its
+    scalar probe pass, so each residual has the bits of a one-trial call.
+    If the pass fails, the block is replayed trial by trial so the error is
+    the one the first failing trial raises."""
+    fprime = lambda xs: calculus.first_derivative_many(f, xs)  # noqa: E731
+    lo, hi = x - h, x + h
+    try:
+        if not np.all(lo < hi):  # an interval that rounds shut: Interval refuses it
+            raise ValueError("empty trial interval")
+        nodes, weights = integrate._composite_rule(lo, hi, _INTERVAL_PANELS, _INTERVAL_NODES)
+        values = fprime(nodes.ravel()).reshape(nodes.shape)
+    except (expr.EvalError, ValueError):
+        for xi, hi_ in zip(x.tolist(), h.tolist()):
+            integrate.integrate_1d(fprime, xi - hi_, xi + hi_, _INTERVAL_PANELS, _INTERVAL_NODES)
+            calculus.derivatives_1d(f, xi + (1.0 - 2.0 * lam) * hi_)
+        raise
+    with np.errstate(over="ignore", invalid="ignore"):  # _verdict refuses inf and NaN
+        totals = np.array([np.dot(w, v) for w, v in zip(weights, values)])
+        average = totals / (2.0 * h)
+        probes = x + (1.0 - 2.0 * lam) * h
+        deriv = np.array([calculus.derivatives_1d(f, p)[1] for p in probes.tolist()])
+        return np.abs(average - deriv) / (1.0 + np.abs(average))
 
 
 def check_interval_mvp(
@@ -193,19 +228,15 @@ def check_interval_mvp(
     equivalence itself can be tested.  Shares interval sampling with
     check_weighted_property given the same (domain, trials, seed)."""
     lam = WeightSpec(lam).lam
-    fprime = lambda xs: calculus.first_derivative_many(f, xs)  # noqa: E731
-    residuals, cases = [], []
-    for a, b in _sample_intervals(domain, trials, seed):
-        x = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        average = integrate.integrate_1d(
-            fprime, x - h, x + h, _INTERVAL_PANELS, _INTERVAL_NODES
-        ) / (2.0 * h)
-        deriv = calculus.derivatives_1d(f, x + (1.0 - 2.0 * lam) * h)[1]
-        residuals.append(abs(average - deriv) / (1.0 + abs(average)))
-        cases.append({"x": x, "h": h})
+    a, b = _sample_intervals(domain, trials, seed)
+    x, h = 0.5 * (a + b), 0.5 * (b - a)
+    residuals = np.empty(trials)
+    for i in range(0, trials, _INTERVAL_BLOCK):
+        block = slice(i, i + _INTERVAL_BLOCK)
+        residuals[block] = _interval_residuals(f, lam, x[block], h[block])
     return _verdict(
-        f"interval-average(lambda={lam!r})", f, tol, seed, residuals, [tol] * trials, cases
+        f"interval-average(lambda={lam!r})", f, tol, seed, residuals.tolist(),
+        [tol] * trials, lambda i: {"x": float(x[i]), "h": float(h[i])},
     )
 
 
@@ -269,7 +300,7 @@ def _check_offset_average(
         residuals.append(abs(lhs - est.estimate))
         allowed.append(max(tol, 4.0 * est.stderr))
         cases.append({"center": center, "h": h, "stderr": est.stderr, "allowed": allowed[-1]})
-    return _verdict(name, g, tol, seed, residuals, allowed, cases)
+    return _verdict(name, g, tol, seed, residuals, allowed, cases.__getitem__)
 
 
 def check_ball_mvp(
@@ -331,7 +362,7 @@ def check_harmonicity(
     values, deltas = calculus.laplacian_many(g, pts)
     return _verdict(
         "harmonicity", g, tol, seed, np.abs(deltas).tolist(),
-        (tol * (1.0 + np.abs(values))).tolist(), [{"point": pt} for pt in pts.tolist()],
+        (tol * (1.0 + np.abs(values))).tolist(), lambda i: {"point": pts[i].tolist()},
     )
 
 
@@ -351,7 +382,7 @@ def check_v_constancy(
     derivs = calculus.directional_derivative_many(g, pts, v)
     return _verdict(
         "v-constancy", g, tol, seed, np.abs(derivs).tolist(), [tol] * points,
-        [{"point": pt} for pt in pts.tolist()],
+        lambda i: {"point": pts[i].tolist()},
     )
 
 

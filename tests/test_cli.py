@@ -104,6 +104,17 @@ class TestSweep:
         assert payload["fit"]["fitted_order"] is None
         assert all(row["lambda"] == 0.5 for row in payload["rows"])
 
+    def test_overflowing_secant_row_reads_failed(self, capsys):
+        # f(1) - f(-1) = 2e308 overflows; the row read "ok" at lambda = 1/2
+        code, out, _ = run(
+            capsys, "sweep", "--fn", "1e308*x+x^2", "--x0", "0",
+            "--hmin", "0.5", "--hmax", "1", "--steps", "4",
+        )
+        assert code == 0
+        rows = out.strip().splitlines()[1:-1]
+        assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "ok", "failed"]
+        assert rows[-1].startswith("1.0,")
+
     def test_indistinct_h_values_are_usage_error(self, capsys):
         # three of the four h values were the same float; a fitted order was printed
         code, out, err = run(

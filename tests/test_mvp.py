@@ -271,7 +271,7 @@ class TestVerdict:
     def test_worst_case_and_counterexamples(self):
         residuals = [1.0, 3.0, 3.0] + [2.0] * 12
         cases = [{"i": i} for i in range(15)]
-        v = mvp._verdict("p", self.G, 1.5, 9, residuals, [1.5] * 15, cases)
+        v = mvp._verdict("p", self.G, 1.5, 9, residuals, [1.5] * 15, cases.__getitem__)
         assert not v.holds and v.trials == 15 and v.seed == 9
         assert (v.worst_residual, v.worst_case) == (3.0, {"i": 1})  # first maximal
         assert [c["i"] for c in v.counterexamples] == list(range(1, 11))  # first 10
@@ -279,7 +279,7 @@ class TestVerdict:
         assert v.trial_residuals == tuple(residuals)
 
     def test_residual_at_its_allowance_holds(self):
-        v = mvp._verdict("p", self.G, 1.0, 0, [0.0, 1.0], [1.0, 1.0], [{}, {}])
+        v = mvp._verdict("p", self.G, 1.0, 0, [0.0, 1.0], [1.0, 1.0], [{}, {}].__getitem__)
         assert v.holds and v.worst_residual == 1.0
 
     @pytest.mark.parametrize("residual,allowed", [
@@ -287,7 +287,9 @@ class TestVerdict:
     ])
     def test_non_finite_is_domain_error(self, residual, allowed):
         with pytest.raises(expr.DomainError, match="non-finite residual"):
-            mvp._verdict("p", self.G, 1.0, 0, [0.0, residual], [1.0, allowed], [{}, {}])
+            mvp._verdict(
+                "p", self.G, 1.0, 0, [0.0, residual], [1.0, allowed], [{}, {}].__getitem__
+            )
 
 
 class TestBuiltins:

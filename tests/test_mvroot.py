@@ -44,6 +44,15 @@ class TestAverageSlope:
             0.0, abs=1e-16
         )
 
+    def test_overflowing_difference_is_domain_error(self):
+        # f(-1) and f(1) are finite, f(1) - f(-1) = 2e308 is not: no slope,
+        # and no degenerate "every point qualifies" result either
+        f = expr.parse("1e308*x")
+        with pytest.raises(expr.DomainError, match="non-finite secant slope"):
+            average_slope(f, Interval(-1.0, 1.0))
+        with pytest.raises(expr.DomainError, match="non-finite secant slope"):
+            find_abscissas(f, Interval(-1.0, 1.0))
+
 
 class TestLambdaOf:
     def test_midpoint(self):
@@ -200,6 +209,12 @@ class TestSweepLambda:
         )
         statuses = {r.status for r in sweep.rows}
         assert "failed" in statuses and "ok" in statuses
+
+    def test_overflowing_secant_row_fails(self):
+        # only at h = 1 does f(h) - f(-h) overflow; the other rows are affine-like
+        sweep = mvroot.sweep_lambda(expr.parse("1e308*x+x^2"), 0.0, 0.5, 1.0, 4)
+        assert [r.status for r in sweep.rows] == ["ok", "ok", "ok", "failed"]
+        assert all(r.lam == 0.5 for r in sweep.rows[:3])
 
     def test_parameter_validation(self):
         f = expr.parse("x^2")
