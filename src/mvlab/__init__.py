@@ -17,6 +17,7 @@ from .calculus import (
 )
 from .exactpoly import (
     BivariatePolynomial,
+    DigitLimitError,
     LambdaFamily,
     PolyVerdict,
     RationalPolynomial,

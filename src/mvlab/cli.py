@@ -15,8 +15,10 @@ sees every CLI call.
 
 Exit codes: 0 = property holds / computation succeeded, 1 = property
 violated (counterexamples in the output), 2 = usage or expression parse
-error (including a non-finite float flag), 3 = numeric failure (domain
-error, no abscissa found, a non-finite number in the output).
+error (including a non-finite float flag or a rational with more digits
+than the interpreter prints), 3 = numeric failure (domain error, no
+abscissa found, a non-finite number in the output, an exact residual
+coefficient with more digits than the interpreter prints).
 """
 
 from __future__ import annotations
@@ -93,9 +95,17 @@ def _tolerance(text: str) -> float:
 
 def _rational(text: str) -> Fraction:
     try:
-        return _parsed(Fraction, text, "a rational such as 0.25 or 1/4")
+        value = _parsed(Fraction, text, "a rational such as 0.25 or 1/4")
     except ZeroDivisionError as exc:  # "1/0"
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+    try:  # poly-verify prints it exactly, and str(int) has a digit limit
+        str(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+    return value
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -452,7 +462,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         payload, holds = args.handler(args)
-    except (expr.DomainError, integrate.McDomainError, mvroot.NoRootError) as exc:
+    except (expr.DomainError, integrate.McDomainError, mvroot.NoRootError,
+            exactpoly.DigitLimitError) as exc:
         print(f"mvlab: numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except (expr.ExprError, ValueError, KeyError) as exc:

@@ -17,8 +17,17 @@ T_(-1) = T_s = 0.  Then the coefficient of a^i b^(s-i) is
 
     c_s * ([i = 0] - [i = s] + s * (T_(i-1) - T_i) / Q^(s-1)),
 
-so `mvt_residual` computes each numerator in Python ints and builds one
-Fraction per nonzero term.
+so `mvt_residual` computes each numerator in Python ints.  The row of
+degree s comes from the row of degree s-1 by Pascal's rule,
+T_i = R' * T'_i + P * T'_(i-1) where T' is the previous row, starting
+from the row [1] of s = 1; each term's numerator and denominator are
+reduced by one gcd.
+
+`BivariatePolynomial` holds the nonzero terms as (i, j, n, d): the
+coefficient of a^i b^j is n/d in lowest terms with d > 0.  The terms
+are kept in print order, highest total degree first and then ascending
+power of a, so printing and `as_power_of_difference` read the integers
+as they are, and Fractions are made only when `terms` is first read.
 
 The monomial family solver handles the fixed-left-endpoint variant: for
 f(x) = x^(k+1) on [0, b], the abscissa sits at c = b * (k+1)^(-1/k) for
@@ -28,9 +37,12 @@ every b, and two different lambda conventions can describe that point
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from itertools import chain
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 import mpmath
@@ -40,6 +52,7 @@ __all__ = [
     "RationalPolynomial",
     "BivariatePolynomial",
     "PolyVerdict",
+    "DigitLimitError",
     "LambdaFamily",
     "poly_from_coeffs",
     "mvt_residual",
@@ -135,19 +148,45 @@ def poly_from_coeffs(coeffs: Iterable[RationalLike]) -> RationalPolynomial:
     return RationalPolynomial(tuple(cs))
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
-    """Polynomial in formal endpoint variables a, b: (i, j) -> coeff of a^i b^j."""
+class DigitLimitError(OverflowError):
+    """An exact value has more decimal digits than the interpreter prints
+    (`sys.get_int_max_str_digits`)."""
 
-    terms: Mapping[tuple[int, int], Fraction]
+
+@dataclass(frozen=True, repr=False)
+class BivariatePolynomial:
+    """Polynomial in formal endpoint variables a, b.
+
+    `rows` holds one (i, j, n, d) per nonzero term n/d * a^i b^j, with
+    n/d in lowest terms and d > 0, in print order: highest total degree
+    first, then ascending power of a.  Build one with `from_terms`;
+    `terms` is the {(i, j): Fraction} view of the same coefficients.
+    """
+
+    rows: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
     def from_terms(raw: Mapping[tuple[int, int], Fraction]) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: v for k, v in raw.items() if v != 0})
+        rows = []
+        for (i, j), c in raw.items():
+            c = _as_fraction(c)
+            if c != 0:
+                rows.append((i, j, c.numerator, c.denominator))
+        rows.sort(key=lambda row: (-(row[0] + row[1]), row[0]))
+        return BivariatePolynomial(tuple(rows))
+
+    @cached_property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """(i, j) -> coefficient of a^i b^j, lowest total degree first."""
+        rows = sorted(self.rows, key=lambda row: (row[0] + row[1], row[0]))
+        return {(i, j): Fraction(n, d) for i, j, n, d in rows}
+
+    def __repr__(self) -> str:
+        return f"BivariatePolynomial(terms={self.terms!r})"
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
@@ -160,46 +199,46 @@ class BivariatePolynomial:
         )
 
     def eval_float(self, a: float, b: float) -> float:
-        return float(
-            sum(float(c) * a**i * b**j for (i, j), c in self.terms.items())
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return dict(self.terms) == dict(other.terms)
+        return float(sum(n / d * a**i * b**j for i, j, n, d in self.rows))
 
     def as_power_of_difference(self) -> tuple[Fraction, int] | None:
         """If the polynomial is exactly gamma * (b - a)^d, return (gamma, d)."""
-        if self.is_zero:
+        if not self.rows:
             return None
-        d = max(i + j for i, j in self.terms)
-        gamma = self.coefficient(0, d)
-        if gamma == 0:
+        top = self.rows[0]
+        d = top[0] + top[1]
+        last = self.rows[-1]
+        # d + 1 terms of total degree d are a^0 b^d .. a^d b^0, in that order
+        if len(self.rows) != d + 1 or last[0] + last[1] != d:
             return None
-        expected = {
-            (i, d - i): gamma * comb(d, i) * (-1) ** i for i in range(d + 1)
-        }
-        return (gamma, d) if dict(self.terms) == expected else None
+        gn, gd = top[2], top[3]
+        binom = 1  # C(d, i)
+        for i, (_, _, n, den) in enumerate(self.rows):
+            if n * gd != (-binom if i & 1 else binom) * gn * den:
+                return None
+            binom = binom * (d - i) // (i + 1)
+        return Fraction(gn, gd), d
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.rows:
             return "0"
-        power = self.as_power_of_difference()
-        if power is not None:
-            gamma, d = power
-            suffix = "" if d == 1 else f"^{d}"
-            return f"({gamma})*(b-a){suffix}"
-        parts = []
-        for (i, j), c in sorted(
-            self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0])
-        ):
-            factors = [str(c)]
-            if i:
-                factors.append("a" if i == 1 else f"a^{i}")
-            if j:
-                factors.append("b" if j == 1 else f"b^{j}")
-            parts.append("*".join(factors))
+        try:  # str(int) refuses more digits than sys.get_int_max_str_digits()
+            power = self.as_power_of_difference()
+            if power is not None:
+                gamma, d = power
+                suffix = "" if d == 1 else f"^{d}"
+                return f"({gamma})*(b-a){suffix}"
+            top = self.rows[0][0] + self.rows[0][1]
+            a_pow = ["", "*a"] + [f"*a^{i}" for i in range(2, top + 1)]
+            b_pow = ["", "*b"] + [f"*b^{j}" for j in range(2, top + 1)]
+            parts = [(str(n) if d == 1 else f"{n}/{d}") + a_pow[i] + b_pow[j]
+                     for i, j, n, d in self.rows]
+        except ValueError:
+            raise DigitLimitError(
+                "a coefficient has more than "
+                f"{sys.get_int_max_str_digits()} digits, the limit for printing "
+                "an integer (sys.get_int_max_str_digits)"
+            ) from None
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -229,22 +268,27 @@ def mvt_residual(p: RationalPolynomial, lam: RationalLike) -> BivariatePolynomia
     if p.degree is not None and p.degree > MAX_DEGREE:
         raise ValueError(f"degree {p.degree} exceeds expansion cap {MAX_DEGREE}")
 
-    # the integer formula of the module docstring: one Fraction per term
+    # the integer formula of the module docstring, one degree s at a time
     P, Q = lam.numerator, lam.denominator
-    p_pow = [P**i for i in range(len(p.coeffs))]
-    r_pow = [(Q - P) ** i for i in range(len(p.coeffs))]
-    terms: dict[tuple[int, int], Fraction] = {}
-    for s, c in enumerate(p.coeffs):
-        if c == 0 or s == 0:  # constant terms cancel in p(b) - p(a)
+    R = Q - P
+    by_degree = []
+    T = [1]  # the row of s = 1
+    q_pow = 1  # Q^(s-1)
+    for s, c in enumerate(p.coeffs[1:], start=1):  # constant terms cancel
+        if s > 1:
+            T = [R * T[0]] + [R * t + P * u for t, u in zip(T[1:], T)] + [P * T[-1]]
+            q_pow *= Q
+        if c == 0:
             continue
-        q_pow = Q ** (s - 1)
-        # T[-1] is the trailing 0, so T_(-1) = T_s = 0
-        T = [comb(s - 1, i) * p_pow[i] * r_pow[s - 1 - i] for i in range(s)] + [0]
-        for i in range(s + 1):
-            num = s * (T[i - 1] - T[i]) + q_pow * ((i == 0) - (i == s))
-            if num:
-                terms[(i, s - i)] = Fraction(c.numerator * num, c.denominator * q_pow)
-    return BivariatePolynomial(terms)
+        cn, den = c.numerator, c.denominator * q_pow
+        k = s * cn
+        nums = [k * (u - t) for u, t in zip([0] + T, T + [0])]  # T_(-1) = T_s = 0
+        edge = cn * q_pow
+        nums[0] += edge
+        nums[-1] -= edge
+        by_degree.append([(i, s - i, num // g, den // g) for i, num in enumerate(nums)
+                          if num for g in (gcd(num, den),)])
+    return BivariatePolynomial(tuple(chain.from_iterable(reversed(by_degree))))
 
 
 def classify(p: RationalPolynomial, lam: RationalLike) -> PolyVerdict:

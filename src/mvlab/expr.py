@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Union
 
 import numpy as np
@@ -135,13 +136,36 @@ class _DomainViolation(Exception):
 # AST
 
 
+class _Node:
+    """Base of the node types.  A node is immutable, so the variables its
+    tree uses are found by one walk, on first use, and kept on it."""
+
+    @cached_property
+    def _variables(self) -> tuple[int, ...]:
+        found: set[int] = set()
+
+        def walk(node: Node) -> None:
+            if isinstance(node, Var):
+                found.add(node.index)
+            elif isinstance(node, Neg):
+                walk(node.operand)
+            elif isinstance(node, BinOp):
+                walk(node.left)
+                walk(node.right)
+            elif isinstance(node, Call):
+                walk(node.arg)
+
+        walk(self)
+        return tuple(sorted(found))
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 1-based, 1..MAX_VARIABLES
 
     @property
@@ -150,19 +174,19 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Node"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str  # member of FUNCTIONS
     arg: "Node"
 
@@ -180,21 +204,7 @@ def neg(operand: Node) -> Node:
 
 def variables(ast: Node) -> tuple[int, ...]:
     """Sorted tuple of the distinct variable indices used by `ast`."""
-    found: set[int] = set()
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Var):
-            found.add(node.index)
-        elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            walk(node.arg)
-
-    walk(ast)
-    return tuple(sorted(found))
+    return ast._variables
 
 
 def check_dimension(ast: Node | None, n: int) -> None:

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
-from mvlab import cli
+from mvlab import cli, exactpoly
 
 
 def run(capsys, *argv):
@@ -296,6 +298,48 @@ class TestCheckers:
         target = tmp_path / "out.json"
         assert run(capsys, *argv, "--out", str(target))[0] == 3
         assert not target.exists()
+
+
+# 0 where the interpreter prints integers of any length
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="str(int) has no digit limit here")
+class TestDigitLimit:
+    # 1/Q with Q = 10^k + 1: the degree-64 residual's denominators reach
+    # Q^63, more than 63*k digits, while Q itself is printable
+    LAMBDA = f"1/{10 ** (_DIGIT_LIMIT // 50) + 1}"
+    MONOMIAL_64 = "--coeffs=" + "0," * 64 + "1"
+
+    def test_unprintable_residual_is_numeric_failure(self, capsys):
+        # the verdict was decided, then printing it exited 2 with Python's advice
+        code, out, err = run(capsys, "poly-verify", self.MONOMIAL_64, f"--lambda={self.LAMBDA}")
+        assert (code, out) == (3, "")
+        assert err.startswith("mvlab: numeric failure: ")
+        assert f"more than {_DIGIT_LIMIT} digits" in err
+
+    def test_library_raises_digit_limit_error(self):
+        p = exactpoly.poly_from_coeffs([0] * 64 + [1])
+        verdict = exactpoly.classify(p, Fraction(self.LAMBDA))
+        assert not verdict.satisfies
+        with pytest.raises(exactpoly.DigitLimitError, match=f"more than {_DIGIT_LIMIT} digits"):
+            str(verdict.residual)
+
+    @pytest.mark.parametrize("argv", [
+        ("poly-verify", f"--coeffs=1e{_DIGIT_LIMIT + 1}", "--lambda=1/2"),
+        ("poly-verify", "--coeffs=1,2", f"--lambda=1e-{_DIGIT_LIMIT + 1}"),
+        ("check-weighted", "--fn", "x", "--a", "0", "--b", "1",
+         f"--lambda=1e-{_DIGIT_LIMIT + 1}"),
+    ])
+    def test_unprintable_literal_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"has more than {_DIGIT_LIMIT} digits, the limit for printing" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_limit_is_not_raised(self, capsys):
+        run(capsys, "poly-verify", self.MONOMIAL_64, f"--lambda={self.LAMBDA}")
+        assert sys.get_int_max_str_digits() == _DIGIT_LIMIT
 
 
 class TestSecondOrderOnly:

@@ -290,3 +290,46 @@ class TestBivariatePolynomial:
                 {(0, 1): Fraction(1, 4), (1, 0): Fraction(-1, 4)}
             )
         )
+
+    @pytest.mark.parametrize("coeffs,lam", [
+        ([1, -2, 3, 0, Fraction(5, 7), Fraction(-1, 3)], Fraction(2, 7)),
+        ([0, 0, 0, 0, 1], Fraction(1, 2)),
+        ([Fraction(-3, 4), 0, 0, Fraction(9, 2)], Fraction(3, 10)),
+        ([0] * 40 + [Fraction(7, 5)], Fraction(2**61 - 1, 2**62)),
+    ])
+    def test_insertion_order_is_immaterial(self, coeffs, lam):
+        res = mvt_residual(poly_from_coeffs(coeffs), lam)
+        items = list(res.terms.items())
+        for seed in range(3):
+            random.Random(seed).shuffle(items)
+            shuffled = BivariatePolynomial.from_terms(dict(items))
+            assert str(shuffled) == str(res)
+            assert shuffled == res and res == shuffled
+            assert shuffled.as_power_of_difference() == res.as_power_of_difference()
+
+    def test_terms_round_trip(self):
+        raw = {(2, 0): Fraction(-6, 4), (0, 2): Fraction(3, 2), (1, 0): Fraction(0),
+               (0, 1): Fraction(5), (1, 1): Fraction(-7, 3)}
+        poly = BivariatePolynomial.from_terms(raw)
+        assert poly.terms == {k: v for k, v in raw.items() if v != 0}
+        assert all(type(v) is Fraction for v in poly.terms.values())
+        assert BivariatePolynomial.from_terms(poly.terms) == poly
+        assert poly.coefficient(2, 0) == Fraction(-3, 2)
+        assert poly.coefficient(1, 0) == 0 and poly.coefficient(5, 5) == 0
+        res = mvt_residual(poly_from_coeffs([1, -2, 3, 0, Fraction(5, 7)]), Fraction(2, 7))
+        assert BivariatePolynomial.from_terms(res.terms).terms == res.terms
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_power_of_difference_near_misses(self, d):
+        gamma = Fraction(-5, 3)
+        exact = {(i, d - i): gamma * comb(d, i) * (-1) ** i for i in range(d + 1)}
+        assert BivariatePolynomial.from_terms(exact).as_power_of_difference() == (gamma, d)
+        for i in range(d + 1):
+            flipped = dict(exact)
+            flipped[(i, d - i)] = -flipped[(i, d - i)]
+            assert BivariatePolynomial.from_terms(flipped).as_power_of_difference() is None
+        missing = {k: v for k, v in exact.items() if k != (0, d)}
+        assert BivariatePolynomial.from_terms(missing).as_power_of_difference() is None
+        for extra in ((0, 0), (0, d - 1), (d - 1, 0)):
+            plus = exact | {extra: Fraction(1, 9)}
+            assert BivariatePolynomial.from_terms(plus).as_power_of_difference() is None

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI regression against committed outputs.
 
 `golden_cli.json` maps each argv (shell-quoted) to [exit code, stdout]:
-the acceptance suite's `_CLI_COMMANDS` plus one ball and one sphere
-check whose sample count spans 17 Monte Carlo evaluation blocks, so
-their bits depend on the block size and the left-to-right moment merge.
+the acceptance suite's `_CLI_COMMANDS`, one ball and one sphere check
+whose sample count spans 17 Monte Carlo evaluation blocks, so their bits
+depend on the block size and the left-to-right moment merge, and one
+`poly-verify` whose residual is no power of (b-a): mixed signs over three
+total degrees print the general form, its term order and its "+ -" folding.
 After an intended output change, regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py` and explain every
 difference in CHANGES.md.
@@ -27,13 +29,16 @@ MULTI_BLOCK = [
     for command, fn in (("ball-check", "x^2 - y^2 + z"), ("sphere-check", "x*y*z"))
 ]
 
+GENERAL_RESIDUAL = [["poly-verify", "--coeffs", "1,-2,3,0,5/7,-1/3", "--lambda", "2/7"]]
+GOLDEN_ARGVS = _CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL
 
-@pytest.mark.parametrize("argv", _CLI_COMMANDS + MULTI_BLOCK, ids=shlex.join)
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=shlex.join)
 def test_cli_output_matches_golden(argv):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert list(_run_cli(argv)) == golden[shlex.join(argv)]
 
 
 if __name__ == "__main__":
-    table = {shlex.join(argv): _run_cli(argv) for argv in _CLI_COMMANDS + MULTI_BLOCK}
+    table = {shlex.join(argv): _run_cli(argv) for argv in GOLDEN_ARGVS}
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
