@@ -11,9 +11,19 @@ in a single pass.  Components may be floats or numpy arrays with
 elementwise semantics, so a whole grid of derivative evaluations costs a
 single tree walk per direction.
 
-`Jet2.apply` takes every function's derivatives from one table.  `abs` is
-not differentiable at 0: jets raise a domain error when an `abs` argument
-is exactly 0 rather than silently picking a subgradient.
+A pass whose readers need only f' runs at order 1: its jets carry
+d2 = None, and no u'', no 2/t^3 and no second-order product is formed.
+Every d1 is computed by the same operations at either order, so an
+order-1 f' has the bits of an order-2 d1 (`first_derivative_many` is
+order 1; `derivatives_1d` and the Laplacian stay order 2).  All jets of
+one pass share its order.  A jet exponent whose d1 vanishes everywhere is
+the one place an order-2 pass reads d2 to pick a branch, so an order-1
+pass that meets one is redone at order 2.
+
+`Jet2.apply` takes every function's derivatives from one table, u' and u''
+as separate rules so an order-1 pass evaluates no u''.  `abs` is not
+differentiable at 0: jets raise a domain error when an `abs` argument is
+exactly 0 rather than silently picking a subgradient.
 
 Every jet's value is checked with `expr._finite`; derivative parts are
 checked by the function that reads them, so an f'' that overflows fails no
@@ -53,16 +63,16 @@ def _pow_term(t: Any, coeff: float, q: float) -> Any:
     return coeff * t**q
 
 
-# fn -> (u'(t), u''(t)) from t and u(t), for every name in expr.FUNCTIONS;
+# fn -> (u'(t, u), u''(t, u, u')) for every name in expr.FUNCTIONS, u = u(t);
 # each keeps the operation order of its closed form, so no bit changes
 _DERIVATIVES = {
-    "sin": lambda t, u: (np.cos(t), -u),
-    "cos": lambda t, u: (-np.sin(t), -u),
-    "exp": lambda t, u: (u, u),
-    "log": lambda t, u: (inv := 1.0 / t, -inv * inv),
-    "sqrt": lambda t, u: (0.5 / u, -0.25 / (u * t)),
-    "tanh": lambda t, u: (s := 1.0 - u * u, -2.0 * u * s),  # s = sech^2
-    "abs": lambda t, u: (np.sign(t), 0.0),
+    "sin": (lambda t, u: np.cos(t), lambda t, u, u1: -u),
+    "cos": (lambda t, u: -np.sin(t), lambda t, u, u1: -u),
+    "exp": (lambda t, u: u, lambda t, u, u1: u),
+    "log": (lambda t, u: 1.0 / t, lambda t, u, inv: -inv * inv),
+    "sqrt": (lambda t, u: 0.5 / u, lambda t, u, u1: -0.25 / (u * t)),
+    "tanh": (lambda t, u: 1.0 - u * u, lambda t, u, s: -2.0 * u * s),  # s = sech^2
+    "abs": (lambda t, u: np.sign(t), lambda t, u, u1: 0.0),
 }
 
 # fn -> (where u' is undefined though u is not, message); log's is expr._check_log
@@ -72,13 +82,19 @@ _NOT_DIFFERENTIABLE = {
 }
 
 
+class _NeedsSecondOrder(Exception):
+    """An order-1 pass met a jet exponent whose d1 is 0 everywhere: only
+    its d2 tells whether an order-2 pass takes the constant-power branch,
+    so the pass is redone at order 2."""
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Value and first two derivatives of a univariate quantity.
 
-    d2 holds the actual second derivative (not a Taylor coefficient).
-    Lifting a constant gives d1=d2=0; lifting the variable at x gives
-    value=x, d1=1, d2=0.
+    d2 holds the actual second derivative (not a Taylor coefficient), or
+    None in an order-1 pass.  Lifting a constant gives d1=d2=0; lifting
+    the variable at x gives value=x, d1=1, d2=0 (None at order 1).
     """
 
     f: Any
@@ -97,75 +113,76 @@ class Jet2:
         return Jet2(c, 0.0, 0.0)
 
     @staticmethod
-    def variable(x: Any) -> "Jet2":
-        return Jet2(x, 1.0, 0.0)
+    def variable(x: Any, order: int = 2) -> "Jet2":
+        return Jet2(x, 1.0, 0.0 if order == 2 else None)
 
-    @staticmethod
-    def _lift(other: Any) -> "Jet2 | None":
+    def _lift(self, other: Any) -> "Jet2 | None":
+        # a constant joins the pass at its order
         if isinstance(other, Jet2):
             return other
         if isinstance(other, _REAL_CARRIERS):
-            return Jet2.constant(other)
+            return Jet2(other, 0.0, None if self.d2 is None else 0.0)
         return None
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+        return Jet2(self.f + o.f, self.d1 + o.d1, None if self.d2 is None else self.d2 + o.d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.f, -self.d1, -self.d2)
+        return Jet2(-self.f, -self.d1, None if self.d2 is None else -self.d2)
 
     def __sub__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
+        return Jet2(self.f - o.f, self.d1 - o.d1, None if self.d2 is None else self.d2 - o.d2)
 
     def __rsub__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Jet2(
-            self.f * o.f,
-            self.d1 * o.f + self.f * o.d1,
-            self.d2 * o.f + 2.0 * self.d1 * o.d1 + self.f * o.d2,
-        )
+        d1 = self.d1 * o.f + self.f * o.d1
+        if self.d2 is None:
+            return Jet2(self.f * o.f, d1, None)
+        return Jet2(self.f * o.f, d1, self.d2 * o.f + 2.0 * self.d1 * o.d1 + self.f * o.d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
         return self * o._reciprocal()
 
     def __rtruediv__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
         return o * self._reciprocal()
 
     def _reciprocal(self) -> "Jet2":
         inv = expr._real_divide(1.0, self.f)
-        return self._compose(inv, -inv * inv, 2.0 * inv**3)
+        return self._compose(inv, -inv * inv, None if self.d2 is None else 2.0 * inv**3)
 
     # -- composition with an outer univariate map ----------------------
 
     def _compose(self, u0: Any, u1: Any, u2: Any) -> "Jet2":
-        """Chain rule through second order for u(self)."""
+        """Chain rule for u(self); u2 is None, and unread, at order 1."""
         g1 = self.d1
+        if self.d2 is None:
+            return Jet2(u0, u1 * g1, None)
         return Jet2(u0, u1 * g1, u2 * g1 * g1 + u1 * self.d2)
 
     def apply(self, fn: str) -> "Jet2":
@@ -176,16 +193,19 @@ class Jet2:
         elif fn in _NOT_DIFFERENTIABLE and _any(_NOT_DIFFERENTIABLE[fn][0](t)):
             raise _DomainViolation(_NOT_DIFFERENTIABLE[fn][1])
         u = getattr(np, fn)(t)
-        return self._compose(u, *_DERIVATIVES[fn](t, u))
+        first, second = _DERIVATIVES[fn]
+        u1 = first(t, u)
+        return self._compose(u, u1, None if self.d2 is None else second(t, u, u1))
 
     def __pow__(self, other: Any) -> "Jet2":
-        if isinstance(other, Jet2) and not any(
-            np.any(np.asarray(d) != 0) for d in (other.d1, other.d2)
-        ):
-            other = other.f
+        if isinstance(other, Jet2) and not np.any(np.asarray(other.d1) != 0):
+            if other.d2 is None:
+                raise _NeedsSecondOrder
+            if not np.any(np.asarray(other.d2) != 0):
+                other = other.f
         if isinstance(other, _REAL_CARRIERS) and np.ndim(other) == 0:
             return self._pow_const(other)
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
         # a varying or array-valued exponent: x^y = exp(y log x)
@@ -194,7 +214,7 @@ class Jet2:
         return (o * self.apply("log")).apply("exp")
 
     def __rpow__(self, other: Any) -> "Jet2":
-        o = Jet2._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
         return o.__pow__(self)
@@ -208,7 +228,7 @@ class Jet2:
         return self._compose(
             t**p,
             _pow_term(t, p, p - 1.0),
-            _pow_term(t, p * (p - 1.0), p - 2.0),
+            None if self.d2 is None else _pow_term(t, p * (p - 1.0), p - 2.0),
         )
 
 
@@ -225,8 +245,8 @@ def _jet(g: Node, env: dict[int, Any]) -> Jet2:
     return Jet2.constant(out)  # ignores the jets; checked in eval_with
 
 
-def _univariate_jet(f: Node, x: Any) -> Jet2:
-    return _jet(f, expr._bind_univariate(f, Jet2.variable(x)))
+def _univariate_jet(f: Node, x: Any, order: int = 2) -> Jet2:
+    return _jet(f, expr._bind_univariate(f, Jet2.variable(x, order)))
 
 
 def derivatives_1d(f: Node, x0: float) -> tuple[float, float, float]:
@@ -238,9 +258,14 @@ def derivatives_1d(f: Node, x0: float) -> tuple[float, float, float]:
 
 
 def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
-    """f'(x) at every x in `xs`, computed in a single array-valued pass."""
+    """f'(x) at every x in `xs`, computed in a single array-valued order-1
+    pass; its bits are those of the order-2 d1."""
     xs = np.asarray(xs, dtype=float)
-    return _broadcast(_finite(f, _univariate_jet(f, xs).d1), xs.shape)
+    try:
+        jet = _univariate_jet(f, xs, order=1)
+    except _NeedsSecondOrder:
+        jet = _univariate_jet(f, xs)
+    return _broadcast(_finite(f, jet.d1), xs.shape)
 
 
 def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float]) -> Jet2:

@@ -205,6 +205,7 @@ def _cmd_lambda_family(args: argparse.Namespace) -> _Result:
         "lambda_left_weight": fam.lambda_left_weight,
         "lambda_abscissa_fraction": fam.lambda_abscissa_fraction,
         "residual_check": fam.residual_check,
+        "note": "exact: (k+1)*(ratio*b)^k = b^k for every b, so the residual is 0",
     }, True
 
 

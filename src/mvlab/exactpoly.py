@@ -32,7 +32,10 @@ as they are, and Fractions are made only when `terms` is first read.
 The monomial family solver handles the fixed-left-endpoint variant: for
 f(x) = x^(k+1) on [0, b], the abscissa sits at c = b * (k+1)^(-1/k) for
 every b, and two different lambda conventions can describe that point
-(see `lambda_family`).
+(see `lambda_family`).  The ratio comes from an integer k-th root of
+2^(160k) / (k+1), so both weights are correctly rounded doubles and the
+residual is 0 by the identity (k+1) * ratio^k = 1, with no
+multiprecision library.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Iterable, Mapping, Union
-
-import mpmath
 
 __all__ = [
     "Rational",
@@ -75,6 +76,20 @@ def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+class DigitLimitError(OverflowError):
+    """An exact value has more decimal digits than the interpreter prints
+    (`sys.get_int_max_str_digits`)."""
+
+
+def _digit_limit_error() -> DigitLimitError:
+    # str(int) raises ValueError past sys.get_int_max_str_digits()
+    return DigitLimitError(
+        "a coefficient has more than "
+        f"{sys.get_int_max_str_digits()} digits, the limit for printing "
+        "an integer (sys.get_int_max_str_digits)"
+    )
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,10 @@ class RationalPolynomial:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            term = "1" if (c == 1 and k > 0) else str(c)
+            try:
+                term = "1" if (c == 1 and k > 0) else str(c)
+            except ValueError:
+                raise _digit_limit_error() from None
             if k == 1:
                 term = f"{term}*x" if term != "1" else "x"
             elif k > 1:
@@ -146,11 +164,6 @@ def poly_from_coeffs(coeffs: Iterable[RationalLike]) -> RationalPolynomial:
     while cs and cs[-1] == 0:
         cs.pop()
     return RationalPolynomial(tuple(cs))
-
-
-class DigitLimitError(OverflowError):
-    """An exact value has more decimal digits than the interpreter prints
-    (`sys.get_int_max_str_digits`)."""
 
 
 @dataclass(frozen=True, repr=False)
@@ -222,7 +235,7 @@ class BivariatePolynomial:
     def __str__(self) -> str:
         if not self.rows:
             return "0"
-        try:  # str(int) refuses more digits than sys.get_int_max_str_digits()
+        try:
             power = self.as_power_of_difference()
             if power is not None:
                 gamma, d = power
@@ -234,11 +247,7 @@ class BivariatePolynomial:
             parts = [(str(n) if d == 1 else f"{n}/{d}") + a_pow[i] + b_pow[j]
                      for i, j, n, d in self.rows]
         except ValueError:
-            raise DigitLimitError(
-                "a coefficient has more than "
-                f"{sys.get_int_max_str_digits()} digits, the limit for printing "
-                "an integer (sys.get_int_max_str_digits)"
-            ) from None
+            raise _digit_limit_error() from None
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -310,9 +319,9 @@ class LambdaFamily:
     - lambda_left_weight: lambda in c = lambda*a + (1-lambda)*b with
       a = 0, i.e. 1 - ratio.
 
-    residual_check is max over b in {1/2, 1, 2, 5} of
-    |(f(b) - f(0))/b - f'(ratio*b)|, evaluated in 60-digit arithmetic so
-    the identity can be verified to 1e-12 absolute even at b^k ~ 1e14.
+    residual_check is |(f(b) - f(0))/b - f'(ratio*b)| for the exact ratio,
+    which is 0 for every b: (k+1)*ratio^k = 1, so (k+1)*(ratio*b)^k = b^k
+    is an identity, proved rather than measured.
     """
 
     k: int
@@ -322,21 +331,31 @@ class LambdaFamily:
     residual_check: float
 
 
+# ratio is read from floor(2^_FAMILY_BITS * ratio), far past a double's 53 bits
+_FAMILY_BITS = 160
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def lambda_family(k: int) -> LambdaFamily:
     if not 1 <= k <= 20:
         raise ValueError(f"k must be in 1..20, got {k}")
-    with mpmath.workdps(60):
-        kk = mpmath.mpf(k)
-        ratio = mpmath.power(k + 1, -1 / kk)
-        worst = mpmath.mpf(0)
-        for b in (mpmath.mpf(1) / 2, mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(5)):
-            secant = (b ** (k + 1) - 0) / b
-            slope_at_c = (k + 1) * (ratio * b) ** k
-            worst = max(worst, abs(secant - slope_at_c))
-        return LambdaFamily(
-            k=k,
-            ratio=float(ratio),
-            lambda_left_weight=float(1 - ratio),
-            lambda_abscissa_fraction=float(ratio),
-            residual_check=float(worst),
-        )
+    # y = floor(2^B * (k+1)^(-1/k)) is the integer k-th root of 2^(B*k) // (k+1);
+    # each weight is one correctly rounded int/int quotient
+    one = 1 << _FAMILY_BITS
+    y = _iroot((1 << (_FAMILY_BITS * k)) // (k + 1), k)
+    return LambdaFamily(
+        k=k,
+        ratio=y / one,
+        lambda_left_weight=(one - y) / one,
+        lambda_abscissa_fraction=y / one,
+        residual_check=0.0,
+    )

@@ -19,6 +19,13 @@ NaN: a residual that could not be computed is a numeric failure, never a
 verdict.  The evaluations behind the residuals are checked in
 `expr.eval_with` and the Monte Carlo moments in `integrate`.
 
+The 1-D checkers evaluate a block of trials at once: each value they
+need (f at the endpoints, f' at the quadrature nodes and probes, by an
+order-1 jet pass) comes from one array pass per block, and every
+operation after it is elementwise, so each residual has the bits of a
+one-trial call.  A block that fails is replayed trial by trial, so the
+error raised is the first failing trial's.
+
 Each input rule is checked in one place: lambda in (0, 1) by
 `exactpoly._check_lambda`, the dimension by `expr.check_dimension`,
 ball radius and sphere rules in `integrate`, the box in `_as_box`, and the
@@ -34,7 +41,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import calculus, exactpoly, expr, integrate, mvroot
+from . import calculus, exactpoly, expr, integrate
 from .expr import Node
 from .integrate import BallSpec, CounterRng
 from .mvroot import Interval
@@ -155,6 +162,50 @@ def _sample_intervals(
     return a, b
 
 
+def _check_intervals(lo: np.ndarray, hi: np.ndarray) -> None:
+    # an interval that rounds shut fails as mvroot.Interval fails it
+    if not np.all(lo < hi):
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            Interval(a, b)
+
+
+def _blocked_residuals(
+    residuals_of: Callable[..., np.ndarray], block: int, *columns: np.ndarray
+) -> np.ndarray:
+    """`residuals_of` over blocks of at most `block` trials, one row of
+    each of `columns` per trial.  Each block's residuals are elementwise,
+    so each has the bits of a one-trial call.  If a block fails, its
+    trials are replayed one at a time, so the error raised is the one the
+    first failing trial raises."""
+    trials = len(columns[0])
+    out = np.empty(trials)
+    for i in range(0, trials, block):
+        part = [c[i : i + block] for c in columns]
+        try:
+            out[i : i + block] = residuals_of(*part)
+        except ValueError:  # expr.EvalError or a shut interval
+            for j in range(len(part[0])):
+                residuals_of(*(c[j : j + 1] for c in part))
+            raise
+    return out
+
+
+def _weighted_residuals(f: Node, lam: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Residuals of a block of check_weighted_property trials: f(a) and
+    f(b) by one eval_many each, f' at every probe by one order-1 pass,
+    then the literal secant (f(b) - f(a))/(b - a)."""
+    _check_intervals(a, b)
+    fa = expr.eval_many(f, expr._bind_univariate(f, a))
+    fb = expr.eval_many(f, expr._bind_univariate(f, b))
+    # an overflowing secant is not raised here: the block's f' is still
+    # computed, so an f' that overflows is the error reported, else _verdict
+    # refuses the NaN
+    deriv = calculus.first_derivative_many(f, lam * a + (1.0 - lam) * b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (fb - fa) / (b - a)
+        return np.abs(slope - deriv) / (1.0 + np.abs(slope))
+
+
 def check_weighted_property(
     f: Node,
     lam: float,
@@ -164,54 +215,40 @@ def check_weighted_property(
     tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Does (f(b) - f(a))/(b - a) = f'(lam*a + (1-lam)*b) on random
-    subintervals of `domain`?  Residuals are relative to 1 + |slope|."""
+    subintervals of `domain`?  Residuals are relative to 1 + |slope|.
+    Blocks of up to integrate._EVAL_POINTS trials share one array pass."""
     lam = WeightSpec(lam).lam
-    a, b = (e.tolist() for e in _sample_intervals(domain, trials, seed))
-    residuals = []
-    for ai, bi in zip(a, b):
-        # an inf slope is not raised here: the trial's f' is still computed, so
-        # an f' that overflows is the error reported, else _verdict refuses the NaN
-        slope = mvroot._secant(f, Interval(ai, bi))
-        deriv = calculus.derivatives_1d(f, lam * ai + (1.0 - lam) * bi)[1]
-        residuals.append(abs(slope - deriv) / (1.0 + abs(slope)))
+    a, b = _sample_intervals(domain, trials, seed)
+    residuals = _blocked_residuals(
+        lambda a, b: _weighted_residuals(f, lam, a, b), integrate._EVAL_POINTS, a, b
+    )
     return _verdict(
-        f"weighted-mean-value(lambda={lam!r})", f, tol, seed, residuals,
-        [tol] * trials, lambda i: {"a": a[i], "b": b[i]},
+        f"weighted-mean-value(lambda={lam!r})", f, tol, seed, residuals.tolist(),
+        [tol] * trials, lambda i: {"a": float(a[i]), "b": float(b[i])},
     )
 
 
 # Gauss-Legendre rule for the interval average of f' in check_interval_mvp:
-# 8 panels of 16 nodes, exact for polynomials of degree <= 31; the nodes of
-# up to _EVAL_POINTS // 128 trials are evaluated in one pass
+# 8 panels of 16 nodes, exact for polynomials of degree <= 31; the nodes and
+# probe of up to _EVAL_POINTS // 129 trials are evaluated in one pass
 _INTERVAL_PANELS = 8
 _INTERVAL_NODES = 16
-_INTERVAL_BLOCK = integrate._EVAL_POINTS // (_INTERVAL_PANELS * _INTERVAL_NODES)
+_INTERVAL_BLOCK = integrate._EVAL_POINTS // (_INTERVAL_PANELS * _INTERVAL_NODES + 1)
 
 
 def _interval_residuals(f: Node, lam: float, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Residuals of a block of check_interval_mvp trials.  One pass gives
-    f' at every trial's nodes; each trial keeps its own dot product and its
-    scalar probe pass, so each residual has the bits of a one-trial call.
-    If the pass fails, the block is replayed trial by trial so the error is
-    the one the first failing trial raises."""
-    fprime = lambda xs: calculus.first_derivative_many(f, xs)  # noqa: E731
+    """Residuals of a block of check_interval_mvp trials.  One order-1 pass
+    gives f' at every trial's nodes and at its probe x + (1-2*lam)*h; each
+    trial keeps its own dot product."""
     lo, hi = x - h, x + h
-    try:
-        if not np.all(lo < hi):  # an interval that rounds shut: Interval refuses it
-            raise ValueError("empty trial interval")
-        nodes, weights = integrate._composite_rule(lo, hi, _INTERVAL_PANELS, _INTERVAL_NODES)
-        values = fprime(nodes.ravel()).reshape(nodes.shape)
-    except (expr.EvalError, ValueError):
-        for xi, hi_ in zip(x.tolist(), h.tolist()):
-            integrate.integrate_1d(fprime, xi - hi_, xi + hi_, _INTERVAL_PANELS, _INTERVAL_NODES)
-            calculus.derivatives_1d(f, xi + (1.0 - 2.0 * lam) * hi_)
-        raise
+    _check_intervals(lo, hi)
+    nodes, weights = integrate._composite_rule(lo, hi, _INTERVAL_PANELS, _INTERVAL_NODES)
+    points = np.concatenate([nodes, (x + (1.0 - 2.0 * lam) * h)[:, None]], axis=1)
+    values = calculus.first_derivative_many(f, points.ravel()).reshape(points.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # _verdict refuses inf and NaN
-        totals = np.array([np.dot(w, v) for w, v in zip(weights, values)])
+        totals = np.array([np.dot(w, v) for w, v in zip(weights, values[:, :-1])])
         average = totals / (2.0 * h)
-        probes = x + (1.0 - 2.0 * lam) * h
-        deriv = np.array([calculus.derivatives_1d(f, p)[1] for p in probes.tolist()])
-        return np.abs(average - deriv) / (1.0 + np.abs(average))
+        return np.abs(average - values[:, -1]) / (1.0 + np.abs(average))
 
 
 def check_interval_mvp(
@@ -230,10 +267,9 @@ def check_interval_mvp(
     lam = WeightSpec(lam).lam
     a, b = _sample_intervals(domain, trials, seed)
     x, h = 0.5 * (a + b), 0.5 * (b - a)
-    residuals = np.empty(trials)
-    for i in range(0, trials, _INTERVAL_BLOCK):
-        block = slice(i, i + _INTERVAL_BLOCK)
-        residuals[block] = _interval_residuals(f, lam, x[block], h[block])
+    residuals = _blocked_residuals(
+        lambda x, h: _interval_residuals(f, lam, x, h), _INTERVAL_BLOCK, x, h
+    )
     return _verdict(
         f"interval-average(lambda={lam!r})", f, tol, seed, residuals.tolist(),
         [tol] * trials, lambda i: {"x": float(x[i]), "h": float(h[i])},

@@ -80,17 +80,12 @@ class AbscissaResult:
     degenerate: bool  # f' constant at the secant slope: every point qualifies
 
 
-def _secant(f: Node, iv: Interval) -> float:
-    # (f(b) - f(a)) / (b - a) as computed: inf when f(b) - f(a) overflows
-    fa = expr.evaluate(f, expr._bind_univariate(f, iv.a))
-    fb = expr.evaluate(f, expr._bind_univariate(f, iv.b))
-    return (fb - fa) / iv.width
-
-
 def average_slope(f: Node, iv: Interval) -> float:
     """(f(b) - f(a)) / (b - a); a DomainError when it is not finite, as
     when f(b) - f(a) overflows though f(a) and f(b) do not."""
-    slope = _secant(f, iv)
+    fa = expr.evaluate(f, expr._bind_univariate(f, iv.a))
+    fb = expr.evaluate(f, expr._bind_univariate(f, iv.b))
+    slope = (fb - fa) / iv.width
     if not math.isfinite(slope):
         raise expr.DomainError(f, "non-finite secant slope")
     return slope

@@ -1,13 +1,23 @@
 """Pinned outputs and work counts of the batched 1-D checkers.
 
-`check_interval_mvp` evaluates f' at the quadrature nodes of a block of
-trials in one array pass, and `find_abscissas`/`sweep_lambda` bisect every
-bracket in lockstep.  Neither may change a bit of what the per-trial and
-per-bracket loops returned: (a) pins verdicts, sweep rows and abscissas as
-SHA-256 digests of their float.hex values, with readable spot values;
-(b) counts the passes and checks that memory stays bounded in the trial
-count.  Regenerate (a) only for an intended change of these outputs, with
+`check_interval_mvp` evaluates f' at the quadrature nodes and probe of a
+block of trials in one array pass, `check_weighted_property` evaluates
+f(a), f(b) and f' at the probes of a block of trials in one array pass
+each, and `find_abscissas`/`sweep_lambda` bisect every bracket in
+lockstep.  None may change a bit of what a one-trial call or a one-bracket
+loop returns: (a) pins verdicts, sweep rows and abscissas as SHA-256
+digests of their float.hex values, with readable spot values; (b) counts
+the passes and checks that memory stays bounded in the trial count.
+Regenerate (a) only for an intended change of these outputs, with
 `PYTHONPATH=src python tests/test_batched_1d.py`, and say so in CHANGES.md.
+
+The weighted digests of x^3 and exp(x) differ from those of the earlier
+per-trial loop, which evaluated f(a) and f(b) on Python floats: the array
+rules compute x^3 by binary powering (`expr._small_int_pow`) where Python
+`float ** float` calls libm pow, and exp by numpy's exp where math.exp
+calls libm's; f' keeps every bit.  15 of the 64 x^3 residuals and 47 of
+the 600 exp(x) ones moved by a few ulps (the x^3 worst residual by one),
+and no verdict changed; the sin(x) digest is unchanged.
 """
 
 import hashlib
@@ -17,7 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvlab import calculus, expr, mvp, mvroot
+from mvlab import calculus, expr, integrate, mvp, mvroot
 from mvlab.mvroot import Interval
 
 
@@ -41,6 +51,12 @@ VERDICT_CASES = [
     ("sqrt(x)", 0.5, 64, (0.0, 2.0), 12),
     ("exp(x)", 0.5, 600, (-1.0, 2.0), 13),
 ]
+# check_weighted_property cases: (expression, lambda, trials, domain, seed)
+WEIGHTED_CASES = [
+    ("x^3", 0.5, 64, (-2.0, 2.0), 21),
+    ("exp(x)", 0.3, 600, (-1.0, 2.0), 22),
+    ("sin(x)", 0.25, 64, (0.0, 6.0), 23),
+]
 # (expression, x0, h_min, h_max, steps)
 SWEEP_CASES = [
     ("log(x)", 0.05, 1e-3, 0.05, 12),  # the last interval reaches log(0)
@@ -49,9 +65,13 @@ SWEEP_CASES = [
 ]
 
 
-def _verdict(source, lam, trials, domain, seed):
-    v = mvp.check_interval_mvp(expr.parse(source), lam, trials, Interval(*domain), seed)
+def _verdict(source, lam, trials, domain, seed, check=mvp.check_interval_mvp):
+    v = check(expr.parse(source), lam, trials, Interval(*domain), seed)
     return [v.to_json_dict(), v.trial_residuals]
+
+
+def _weighted(*case):
+    return _verdict(*case, check=mvp.check_weighted_property)
 
 
 def _sweep(source, x0, h_min, h_max, steps):
@@ -74,6 +94,16 @@ WORST_RESIDUALS = {
     "x^3": "0x1.48fd2efa4fff6p-1",
     "sqrt(x)": "0x1.9f1b6b8cd0bd9p-5",
     "exp(x)": "0x1.959e37cf035e2p-3",
+}
+WEIGHTED_DIGESTS = {
+    "x^3": "a5ee34c1b253e0f7b3554a8de138c14859884ac45199652e651f6591e57e284a",
+    "exp(x)": "549ba49d1659b8d439c00cf471b936bc84bcc85cecf9b8f21ff3ab0876f7e707",
+    "sin(x)": "9832c0dd4bd37633a0069509196521a15b1534f7e659b35e8f4e070283fb41ac",
+}
+WEIGHTED_WORST_RESIDUALS = {
+    "x^3": "0x1.823626adaa8d8p-1",
+    "exp(x)": "0x1.ac001bef2893cp-3",
+    "sin(x)": "0x1.418054f80f0adp-1",
 }
 SWEEP_DIGESTS = {
     "log(x)": "9f6db20d55c6ddb54afcae5571fa71399d0653e1c3307d6bfbac32caacdd0904",
@@ -102,6 +132,12 @@ class TestPinnedOutputs:
         assert out[0]["worst_residual"].hex() == WORST_RESIDUALS[case[0]]
         assert _digest(out) == VERDICT_DIGESTS[case[0]]
 
+    @pytest.mark.parametrize("case", WEIGHTED_CASES, ids=[c[0] for c in WEIGHTED_CASES])
+    def test_weighted_verdict(self, case):
+        out = _weighted(*case)
+        assert out[0]["worst_residual"].hex() == WEIGHTED_WORST_RESIDUALS[case[0]]
+        assert _digest(out) == WEIGHTED_DIGESTS[case[0]]
+
     @pytest.mark.parametrize("case", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
     def test_sweep_rows(self, case):
         out = _sweep(*case)
@@ -129,6 +165,35 @@ class TestErrorsMatchTheScalarLoops:
         f = expr.parse("log(x) + sqrt(2 - x)")
         with pytest.raises(expr.DomainError, match=message):
             mvp.check_interval_mvp(f, 0.5, 20, Interval(-1.0, 3.0), seed)
+
+    @pytest.mark.parametrize("source,domain,seed,message", [
+        ("log(x) + sqrt(2 - x)", (-1.0, 3.0), 0, "sqrt of a negative argument"),
+        ("log(x) + sqrt(2 - x)", (-1.0, 3.0), 3, "log of a non-positive argument"),
+        ("log(x)", (-0.5, 2.0), 1, "log of a non-positive argument"),
+        ("exp(709*x)", (0.99, 1.001), 1, "non-finite value"),  # f' overflows, f does not
+        ("1.5e308*sin(x)", (-3.0, 3.0), 1, "non-finite residual"),  # f(b) - f(a) overflows
+    ])
+    @pytest.mark.parametrize("block", [None, 8])
+    def test_weighted_check_raises_the_first_failing_trials_error(
+        self, monkeypatch, source, domain, seed, message, block
+    ):
+        # at seed 0 a pass over all trials meets log's fault in f(a) first,
+        # while the first failing trial fails in sqrt; with 8-trial blocks
+        # the first failing trial may sit past the first block
+        if block:
+            monkeypatch.setattr(integrate, "_EVAL_POINTS", block)
+        f, iv = expr.parse(source), Interval(*domain)
+        a, b = mvp._sample_intervals(iv, 40, seed)
+        first = None
+        for i in range(40):
+            try:
+                mvp._weighted_residuals(f, 0.5, a[i : i + 1], b[i : i + 1])
+            except expr.DomainError as exc:
+                first = str(exc)
+                break
+        with pytest.raises(expr.DomainError, match=message) as raised:
+            mvp.check_weighted_property(f, 0.5, 40, iv, seed)
+        assert str(raised.value) == (first or str(expr.DomainError(f, "non-finite residual")))
 
     def test_undefined_node_off_the_bisection_path(self):
         # the one bracket is [-2^-10, 3*2^-10]; its lower half's midpoint is
@@ -161,16 +226,55 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+class TestWeightedResiduals:
+    @pytest.mark.parametrize("case", WEIGHTED_CASES, ids=[c[0] for c in WEIGHTED_CASES])
+    def test_each_residual_is_a_one_trial_calls(self, case):
+        source, lam, trials, domain, seed = case
+        f, iv = expr.parse(source), Interval(*domain)
+        v = mvp.check_weighted_property(f, lam, trials, iv, seed)
+        a, b = mvp._sample_intervals(iv, trials, seed)
+        one = [mvp._weighted_residuals(f, lam, a[i : i + 1], b[i : i + 1])[0]
+               for i in range(trials)]
+        assert [r.hex() for r in v.trial_residuals] == [float(r).hex() for r in one]
+        # a one-trial check draws the first interval of the many-trial one
+        assert mvp.check_weighted_property(f, lam, 1, iv, seed).trial_residuals == (
+            v.trial_residuals[:1])
+
+    def test_residuals_do_not_depend_on_the_block_size(self, monkeypatch):
+        f, iv = expr.parse("exp(x)"), Interval(-1.0, 2.0)
+        whole = mvp.check_weighted_property(f, 0.3, 100, iv, 5)
+        monkeypatch.setattr(integrate, "_EVAL_POINTS", 7)
+        assert mvp.check_weighted_property(f, 0.3, 100, iv, 5) == whole
+
+
 class TestWorkCounts:
+    def test_weighted_check_is_one_pass_per_block(self, monkeypatch):
+        f = expr.parse("exp(x) - x^2")
+        scalar = _count_calls(monkeypatch, calculus, "derivatives_1d")
+        evaluate = _count_calls(monkeypatch, expr, "evaluate")
+        passes = _count_calls(monkeypatch, calculus, "first_derivative_many")
+        evals = _count_calls(monkeypatch, expr, "eval_many")
+        mvp.check_weighted_property(f, 0.25, 50, Interval(-1.0, 1.0), 2)
+        assert [np.shape(p[1]) for p in passes] == [(50,)] and len(evals) == 2
+        monkeypatch.setattr(integrate, "_EVAL_POINTS", 16)
+        passes.clear()
+        evals.clear()
+        mvp.check_weighted_property(f, 0.25, 50, Interval(-1.0, 1.0), 2)
+        assert [np.shape(p[1]) for p in passes] == [(16,), (16,), (16,), (2,)]
+        assert len(evals) == 8
+        assert scalar == [] and evaluate == []
+
     def test_interval_check_is_one_pass_with_a_cached_rule(self, monkeypatch):
         f = expr.parse("exp(x) - x^2")
         mvp.check_interval_mvp(f, 0.5, 3, Interval(-1.0, 1.0), 1)  # the rule is cached now
+        scalar = _count_calls(monkeypatch, calculus, "derivatives_1d")
         passes = _count_calls(monkeypatch, calculus, "first_derivative_many")
         rules = _count_calls(monkeypatch, np.polynomial.legendre, "leggauss")
         v = mvp.check_interval_mvp(f, 0.25, 50, Interval(-1.0, 1.0), 2)
         assert v.trials == 50
-        assert len(passes) == 1 and np.shape(passes[0][1]) == (50 * 128,)
-        assert rules == []
+        # 128 quadrature nodes and the probe of each trial
+        assert len(passes) == 1 and np.shape(passes[0][1]) == (50 * 129,)
+        assert rules == [] and scalar == []
 
     def test_sweep_makes_no_scalar_jet_pass(self, monkeypatch):
         scalar = _count_calls(monkeypatch, calculus, "derivatives_1d")
@@ -178,25 +282,36 @@ class TestWorkCounts:
         assert [r.status for r in sweep.rows] == ["ok"] * 20
         assert scalar == []
 
-    def test_interval_check_memory_is_bounded_in_trials(self):
+    @staticmethod
+    def _peak_growth(check):
+        # traced peak at 10,000 trials less the peak at 256
         f = expr.parse("exp(x)")
-        mvp.check_interval_mvp(f, 0.5, 10, Interval(-1.0, 1.0), 3)
+        check(f, 0.5, 10, Interval(-1.0, 1.0), 3)
         peaks = []
         for trials in (256, 10_000):
             tracemalloc.start()
             try:
-                v = mvp.check_interval_mvp(f, 0.5, trials, Interval(-1.0, 1.0), 3)
+                v = check(f, 0.5, trials, Interval(-1.0, 1.0), 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert v.trials == trials and not v.holds
-        assert peaks[1] - peaks[0] <= 1 << 20, peaks
+        return peaks[1] - peaks[0]
+
+    def test_interval_check_memory_is_bounded_in_trials(self):
+        assert self._peak_growth(mvp.check_interval_mvp) <= 1 << 20
+
+    def test_weighted_check_memory_is_bounded_in_trials(self):
+        assert self._peak_growth(mvp.check_weighted_property) <= 1 << 20
 
 
 if __name__ == "__main__":
     for case in VERDICT_CASES:
         out = _verdict(*case)
         print(repr(case[0]), out[0]["worst_residual"].hex(), _digest(out))
+    for case in WEIGHTED_CASES:
+        out = _weighted(*case)
+        print("weighted", repr(case[0]), out[0]["worst_residual"].hex(), _digest(out))
     for case in SWEEP_CASES:
         out = _sweep(*case)
         print(repr(case[0]), repr(" ".join(r[-1] for r in out[0])), _digest(out))

@@ -158,6 +158,74 @@ def test_first_derivative_many_matches_scalar():
         assert block[i] == pytest.approx(calculus.derivatives_1d(ast, float(x))[1], rel=1e-14)
 
 
+def _d1_or_error(f, x, order):
+    # the d1 bytes of a checked jet pass, spread to the shape of x, or its error
+    try:
+        jet = calculus._univariate_jet(f, x, order)
+        return expr._broadcast(calculus._finite(f, jet.d1), np.shape(x)).tobytes()
+    except expr.EvalError as exc:
+        return str(exc)
+
+
+def _many_or_error(f, xs):
+    try:
+        return calculus.first_derivative_many(f, xs).tobytes()
+    except expr.EvalError as exc:
+        return str(exc)
+
+
+class TestFirstOrderPass:
+    """f' from an order-1 pass has the bits of the order-2 d1, on Python
+    floats and on arrays, and fails with the same message."""
+
+    SOURCES = [f"{fn}(x)" for fn in expr.FUNCTIONS] + [
+        "abs(x - 0.5) * x", "1/x", "(x^2 + 1)/(x - 3)", "7", "pi*x + e",
+        "x^3", "x^-2", "x^0.5", "x^2.5", "x^(1/3)", "x^x", "2^x", "x^sin(x)",
+        "(x^2 + 1)^(x/3)", "exp(-x^2)*tanh(3*x) - sqrt(x^2 + 1)*log(x^2 + 2)",
+    ]
+    POINTS = [-2.5, -1.0, -0.3, 0.0, 1e-3, 0.5, 1.0, 2.75]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_arrays(self, source):
+        f = expr.parse(source)
+        positive = np.linspace(0.05, 3.0, 301)
+        for xs in (positive, np.concatenate([-positive, [0.0], positive])):
+            assert _many_or_error(f, xs) == _d1_or_error(f, xs, 2)
+            assert _many_or_error(f, xs[7]) == _d1_or_error(f, xs[7], 2)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_python_floats(self, source):
+        f = expr.parse(source)
+        for x in self.POINTS:
+            assert _d1_or_error(f, x, 1) == _d1_or_error(f, x, 2), x
+
+    @pytest.mark.parametrize("source,x,message", [
+        ("abs(x)", 0.0, "abs is not differentiable at 0"),
+        ("sqrt(x)", 0.0, "sqrt of a non-positive argument (derivative undefined at 0)"),
+        ("log(x)", -1.0, "log of a non-positive argument"),
+        ("x^0.5", -1.0, "fractional power of a non-positive base"),
+        ("x^x", -1.0, "power with varying exponent needs a positive base"),
+    ])
+    def test_domain_faults(self, source, x, message):
+        f = expr.parse(source)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            calculus.first_derivative_many(f, [1.0, x])
+        assert _d1_or_error(f, x, 1) == _d1_or_error(f, x, 2)
+
+    def test_no_second_derivative_is_formed(self):
+        jet = calculus._univariate_jet(expr.parse("sin(x)*exp(x)/(1 + x^2)"), np.ones(4), 1)
+        assert jet.d2 is None
+
+    @pytest.mark.parametrize("x", [-1.0, 1.0, 2.0])
+    def test_exponent_with_vanishing_d1(self, x):
+        # the exponent's d1 is 0 here, so only its d2 tells an order-2 pass
+        # whether the power is constant (x - x + 2) or varying ((x - 1)^2 at
+        # 1); the order-1 pass redoes itself at order 2 to keep its branch
+        for source in ("x^(x - x + 2)", "x^((x - 1)^2)"):
+            f = expr.parse(source)
+            assert _many_or_error(f, [x]) == _d1_or_error(f, np.array([x]), 2), (source, x)
+
+
 class TestGradient:
     def test_polynomial_partials(self):
         assert calculus.gradient(expr.parse("x^2 - y^2"), (1.0, 2.0)) == [2.0, -4.0]

@@ -325,6 +325,12 @@ class TestDigitLimit:
         with pytest.raises(exactpoly.DigitLimitError, match=f"more than {_DIGIT_LIMIT} digits"):
             str(verdict.residual)
 
+    def test_univariate_polynomial_raises_digit_limit_error(self):
+        # a coefficient past the limit, as the bivariate residual refuses one
+        p = exactpoly.poly_from_coeffs([f"1e{_DIGIT_LIMIT + 1}", 1])
+        with pytest.raises(exactpoly.DigitLimitError, match=f"more than {_DIGIT_LIMIT} digits"):
+            str(p)
+
     @pytest.mark.parametrize("argv", [
         ("poly-verify", f"--coeffs=1e{_DIGIT_LIMIT + 1}", "--lambda=1/2"),
         ("poly-verify", "--coeffs=1,2", f"--lambda=1e-{_DIGIT_LIMIT + 1}"),

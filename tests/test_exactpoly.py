@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -215,6 +219,30 @@ class TestLambdaFamily:
     def test_residuals_below_threshold(self):
         for k in range(1, 21):
             assert lambda_family(k).residual_check <= 1e-12, k
+
+    def test_weights_are_the_correctly_rounded_60_digit_values(self):
+        for k in range(1, 21):
+            fam = lambda_family(k)
+            with mpmath.workdps(60):
+                ratio = mpmath.power(k + 1, -1 / mpmath.mpf(k))
+                want = (float(ratio), float(1 - ratio), float(ratio))
+            assert (fam.ratio, fam.lambda_left_weight, fam.lambda_abscissa_fraction) == want, k
+            assert fam.residual_check == 0.0
+
+    def test_integer_root_brackets_the_ratio(self):
+        # y = floor(2^160 (k+1)^(-1/k)): (k+1) y^k <= 2^(160k) < (k+1) (y+1)^k
+        for k in range(1, 21):
+            n = (1 << (160 * k)) // (k + 1)
+            y = exactpoly._iroot(n, k)
+            assert (k + 1) * y**k <= 1 << (160 * k) < (k + 1) * (y + 1) ** k, k
+            assert y**k <= n < (y + 1) ** k
+
+    def test_lambda_family_needs_no_mpmath(self):
+        # mpmath is a test dependency only: the package never imports it
+        src = str(pathlib.Path(exactpoly.__file__).parents[1])
+        code = "import sys, mvlab; mvlab.lambda_family(7); sys.exit('mpmath' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0
 
     def test_k1_is_exact_half(self):
         fam = lambda_family(1)
