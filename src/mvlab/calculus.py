@@ -55,12 +55,22 @@ __all__ = [
 ]
 
 
+def _power(t: Any, q: float) -> Any:
+    # t**q for a domain-checked t; a Python float power that overflows is
+    # the inf of numpy's, signed as an odd power of a negative t is, so the
+    # part's reader reports it as non-finite
+    try:
+        return t**q
+    except OverflowError:
+        return math.copysign(math.inf, t) if q % 2 == 1 else math.inf
+
+
 def _pow_term(t: Any, coeff: float, q: float) -> Any:
     # coeff * t**q, skipping the power when the coefficient vanishes so
     # integer exponents at t == 0 never touch 0**negative
     if coeff == 0:
         return 0.0
-    return coeff * t**q
+    return coeff * _power(t, q)
 
 
 # fn -> (u'(t, u), u''(t, u, u')) for every name in expr.FUNCTIONS, u = u(t);
@@ -226,7 +236,7 @@ class Jet2:
             raise _DomainViolation("fractional power of a non-positive base")
         expr._check_zero_power(t, p)
         return self._compose(
-            t**p,
+            _power(t, p),
             _pow_term(t, p, p - 1.0),
             None if self.d2 is None else _pow_term(t, p * (p - 1.0), p - 2.0),
         )

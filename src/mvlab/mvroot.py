@@ -9,9 +9,13 @@ brackets are bisected in lockstep: one array jet pass evaluates every
 midpoint that the next six steps of each open bracket could reach, and
 each bracket then takes those steps on the values, so a bracket needs ~6
 passes where a one-bracket loop made ~36 scalar ones.  `sweep_lambda`
-bisects the brackets of all its intervals together, so a sweep makes about
-as many passes as one interval does.  Each bracket follows the rules of a
-one-bracket loop, so lockstep changes no root.
+scans the grids of as many intervals as fit in integrate._EVAL_POINTS in
+one pass (31 at the default 1024 cells), and bisects the brackets of all
+its intervals together, so a sweep makes about as many passes as one
+interval does.  A scan pass that fails is redone one interval at a time,
+so each interval keeps its own error.  Each bracket follows the rules of
+a one-bracket loop and each grid point is computed as a one-interval scan
+computes it, so neither blocking nor lockstep changes a root.
 
 `sweep_lambda` shrinks symmetric intervals [x0-h, x0+h] and tracks how
 fast the abscissa nearest the midpoint approaches it, fitting the
@@ -27,13 +31,14 @@ approaches 1/2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import calculus, expr
+from . import calculus, expr, integrate
 from .expr import Node
 
 __all__ = [
@@ -116,7 +121,7 @@ class _Scan:
 
     iv: Interval
     slope: float
-    exact: list[float]
+    exact: list[float] = field(default_factory=list)
     brackets: list[_Bracket] = field(default_factory=list)
 
 
@@ -197,16 +202,31 @@ def _bisection_tree(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
     """The midpoints of the first `levels` bisection steps of each bracket
     [lo[i], hi[i]], shape (len(lo), 2^levels - 1), in heap order: node k
     halves the bracket of its parent (k - 1) // 2, its lower half has node
-    2k + 1 and its upper half 2k + 2."""
-    tree = np.empty((len(lo), 2**levels - 1))
-    a, b = lo[:, None], hi[:, None]
+    2k + 1 and its upper half 2k + 2.
+
+    Row i of `edges` holds the 2^levels + 1 bracket ends of the last level
+    in order; the brackets of level j end at every 2^(levels - j)-th of
+    them, so each level's midpoints fill the gaps of the level above."""
+    width = 2**levels
+    edges = np.empty((len(lo), width + 1))
+    edges[:, 0], edges[:, width] = lo, hi
     for j in range(levels):
-        m = tree[:, 2**j - 1 : 2 ** (j + 1) - 1]
-        np.multiply(0.5, a + b, out=m)
-        a, b = np.repeat(a, 2, axis=1), np.repeat(b, 2, axis=1)
-        a[:, 1::2] = m
-        b[:, 0::2] = m
-    return tree
+        stride = width >> j
+        ends = edges[:, ::stride]
+        np.multiply(0.5, ends[:, :-1] + ends[:, 1:], out=edges[:, stride // 2 :: stride])
+    return edges[:, _heap_order(levels)]
+
+
+@functools.lru_cache(maxsize=None)
+def _heap_order(levels: int) -> np.ndarray:
+    # column of `_bisection_tree`'s edge array that holds heap node k:
+    # node i of level j halves the i-th bracket of that level
+    width = 2**levels
+    order = np.concatenate([
+        np.arange(width >> (j + 1), width, width >> j) for j in range(levels)
+    ])
+    order.flags.writeable = False
+    return order
 
 
 def _phi(
@@ -225,26 +245,50 @@ def _phi(
     return values
 
 
-def _scan(f: Node, iv: Interval, grid: int, tol: float) -> AbscissaResult | _Scan:
-    slope = average_slope(f, iv)
-    step = iv.width / grid
-    xs = iv.a + step * np.arange(grid + 1)
-    xs[-1] = iv.b
-    phi_values = calculus.first_derivative_many(f, xs) - slope
-    if np.all(np.abs(phi_values) <= tol * (1.0 + abs(slope))):
-        return AbscissaResult(iv, slope, (), (), True)
-    scan = _Scan(iv, slope, xs[1:-1][phi_values[1:-1] == 0.0].tolist())
+def _scan_block(
+    f: Node, ivs: Sequence[Interval], slopes: Sequence[float], grid: int, tol: float
+) -> list[AbscissaResult | _Scan]:
+    """The grid scans of `ivs`, whose secant slopes are `slopes`, from one
+    f' pass over all their grids: a flat interval's result, or its exact
+    zeros and sign-change brackets.  A failing pass raises its EvalError."""
+    a, b = np.array([iv.a for iv in ivs]), np.array([iv.b for iv in ivs])
+    slope = np.array(slopes)[:, None]
+    xs = a[:, None] + ((b - a) / grid)[:, None] * np.arange(grid + 1)
+    xs[:, -1] = b
+    phi = calculus.first_derivative_many(f, xs.ravel()).reshape(xs.shape) - slope
+    flat = np.all(np.abs(phi) <= tol * (1.0 + np.abs(slope)), axis=1).tolist()
+    out: list[AbscissaResult | _Scan] = [
+        AbscissaResult(iv, s, (), (), True) if is_flat else _Scan(iv, s)
+        for iv, s, is_flat in zip(ivs, slopes, flat)
+    ]
+    rows, cols = np.nonzero(phi[:, 1:-1] == 0.0)
+    for row, x in zip(rows.tolist(), xs[rows, cols + 1].tolist()):
+        if not flat[row]:
+            out[row].exact.append(x)
     # strict sign changes; comparing sign bits cannot overflow like a product
-    left, right = phi_values[:-1], phi_values[1:]
-    changes = np.flatnonzero(
+    left, right = phi[:, :-1], phi[:, 1:]
+    rows, cols = np.nonzero(
         (left != 0.0) & (right != 0.0) & (np.signbit(left) != np.signbit(right))
     )
-    scan.brackets = [
-        _Bracket(scan, lo, hi, p, tol * iv.width)
-        for lo, hi, p in zip(xs[changes].tolist(), xs[changes + 1].tolist(),
-                             phi_values[changes].tolist())
-    ]
-    return scan
+    for row, lo, hi, p in zip(rows.tolist(), xs[rows, cols].tolist(),
+                              xs[rows, cols + 1].tolist(), phi[rows, cols].tolist()):
+        if not flat[row]:
+            scan = out[row]
+            scan.brackets.append(_Bracket(scan, lo, hi, p, tol * scan.iv.width))
+    return out
+
+
+def _scans(
+    f: Node, ivs: Sequence[Interval], slopes: Sequence[float], grid: int, tol: float
+) -> list[AbscissaResult | _Scan | expr.EvalError]:
+    # `_scan_block`, with each interval's own error in place of its scan: a
+    # failing pass over several intervals is redone one interval at a time
+    try:
+        return _scan_block(f, ivs, slopes, grid, tol)
+    except expr.EvalError as exc:
+        if len(ivs) == 1:
+            return [exc]
+    return [scan for iv, s in zip(ivs, slopes) for scan in _scans(f, [iv], [s], grid, tol)]
 
 
 def _collect(scan: _Scan, grid: int, tol: float) -> AbscissaResult:
@@ -266,18 +310,26 @@ def _collect(scan: _Scan, grid: int, tol: float) -> AbscissaResult:
 def _abscissas(
     f: Node, ivs: Sequence[Interval], grid: int, tol: float
 ) -> list[AbscissaResult | expr.EvalError | NoRootError]:
-    """`find_abscissas` on each interval of `ivs`: a grid scan per interval,
-    then one lockstep bisection of all their brackets.  An interval whose
-    slope, scan or bisection fails, or that has no root, gives its error
-    in place of a result."""
+    """`find_abscissas` on each interval of `ivs`: one grid scan pass per
+    block of intervals, then one lockstep bisection of all their brackets.
+    If a block's pass fails, its intervals are scanned one at a time, so an
+    interval whose slope, scan or bisection fails, or that has no root,
+    gives its own error in place of a result."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     out: list = []
     for iv in ivs:
         try:
-            out.append(_scan(f, iv, grid, tol))
+            out.append(average_slope(f, iv))
         except expr.EvalError as exc:
             out.append(exc)
+    todo = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
+    per_block = max(1, integrate._EVAL_POINTS // (grid + 1))
+    for first in range(0, len(todo), per_block):
+        block = todo[first : first + per_block]
+        scans = _scans(f, [ivs[k] for k in block], [out[k] for k in block], grid, tol)
+        for k, scan in zip(block, scans):
+            out[k] = scan
     failed = _bisect(f, [b for s in out if isinstance(s, _Scan) for b in s.brackets])
     for k, scan in enumerate(out):
         if isinstance(scan, _Scan):

@@ -155,6 +155,40 @@ class TestPinnedOutputs:
         assert _digest(out) == MANY_ROOTS_DIGEST
 
 
+def _repeat_tree(lo, hi, levels):
+    # the bisection tree built by repeating each level's bracket ends, as
+    # mvroot once did: the reference for `mvroot._bisection_tree`
+    tree = np.empty((len(lo), 2**levels - 1))
+    a, b = lo[:, None], hi[:, None]
+    for j in range(levels):
+        m = tree[:, 2**j - 1 : 2 ** (j + 1) - 1]
+        np.multiply(0.5, a + b, out=m)
+        a, b = np.repeat(a, 2, axis=1), np.repeat(b, 2, axis=1)
+        a[:, 1::2] = m
+        b[:, 0::2] = m
+    return tree
+
+
+class TestBisectionTree:
+    @pytest.mark.parametrize("levels", range(1, 7))
+    def test_matches_the_repeat_construction(self, levels):
+        rng = np.random.default_rng(levels)
+        negative = -rng.uniform(1.0, 1e3, 40)
+        lo = np.concatenate([negative, -rng.uniform(0.0, 5.0, 40), negative])
+        hi = np.concatenate([
+            negative + rng.uniform(1e-9, 1.0, 40),  # below zero
+            rng.uniform(0.0, 5.0, 40),  # across zero
+            negative + np.abs(np.spacing(negative)) * rng.integers(1, 8, 40),  # a few ulps wide
+        ])
+        got = mvroot._bisection_tree(lo, hi, levels)
+        assert got.tobytes() == _repeat_tree(lo, hi, levels).tobytes()
+
+    def test_heap_order_is_cached_and_read_only(self):
+        order = mvroot._heap_order(3)
+        assert order is mvroot._heap_order(3) and not order.flags.writeable
+        assert order.tolist() == [4, 2, 6, 1, 3, 5, 7]
+
+
 class TestErrorsMatchTheScalarLoops:
     @pytest.mark.parametrize("seed,message", [
         (0, "sqrt of a non-positive argument"), (3, "log of a non-positive argument"),
@@ -283,6 +317,45 @@ class TestWorkCounts:
         assert scalar == []
 
     @staticmethod
+    def _sweep_passes(monkeypatch, source, *args, grid=1024):
+        # (sweep, sizes of its f' passes, number of its bisection passes)
+        passes = _count_calls(monkeypatch, calculus, "first_derivative_many")
+        trees = _count_calls(monkeypatch, mvroot, "_bisection_tree")
+        sweep = mvroot.sweep_lambda(expr.parse(source), *args, grid=grid)
+        return sweep, [np.size(p[1]) for p in passes], len(trees)
+
+    @pytest.mark.parametrize("steps,blocks", [(20, [20]), (40, [31, 9])])
+    def test_sweep_scans_a_block_of_grids_per_pass(self, monkeypatch, steps, blocks):
+        # 31 grids of 1025 points fit in integrate._EVAL_POINTS; every later
+        # pass is a bisection pass
+        sweep, sizes, trees = self._sweep_passes(monkeypatch, "exp(x)", 0.3, 1e-3, 0.1, steps)
+        assert [r.status for r in sweep.rows] == ["ok"] * steps
+        assert sizes[: len(blocks)] == [1025 * n for n in blocks]
+        assert len(sizes) == len(blocks) + trees
+
+    def test_grid_wider_than_a_block_is_one_interval_per_pass(self, monkeypatch):
+        sweep, sizes, trees = self._sweep_passes(
+            monkeypatch, "sin(x)", 1.0, 1e-3, 0.5, 6, grid=40_000)
+        assert [r.status for r in sweep.rows] == ["ok"] * 6
+        assert sizes[:6] == [40_001] * 6 and len(sizes) == 6 + trees
+
+    @pytest.mark.parametrize("source,replayed", [
+        ("log(x)", False),  # log(0) fails the last slope: its grid is never scanned
+        ("sqrt(x)", True),  # sqrt' fails at the last grid's point 0: the block is replayed
+    ])
+    def test_failing_interval_fails_only_its_row(self, monkeypatch, source, replayed):
+        f, x0 = expr.parse(source), 0.05
+        sweep, sizes, trees = self._sweep_passes(monkeypatch, source, x0, 1e-3, 0.05, 12)
+        assert [r.status for r in sweep.rows] == ["ok"] * 11 + ["failed"]
+        scans = [1025 * 12] + [1025] * 12 if replayed else [1025 * 11]
+        assert sizes[: len(scans)] == scans and len(sizes) == len(scans) + trees
+        for row in sweep.rows[:-1]:
+            res = mvroot.find_abscissas(f, Interval(x0 - row.h, x0 + row.h))
+            assert row.c in res.abscissas
+        with pytest.raises(expr.DomainError):
+            mvroot.find_abscissas(f, Interval(x0 - sweep.rows[-1].h, x0 + sweep.rows[-1].h))
+
+    @staticmethod
     def _peak_growth(check):
         # traced peak at 10,000 trials less the peak at 256
         f = expr.parse("exp(x)")
@@ -303,6 +376,29 @@ class TestWorkCounts:
 
     def test_weighted_check_memory_is_bounded_in_trials(self):
         assert self._peak_growth(mvp.check_weighted_property) <= 1 << 20
+
+    @staticmethod
+    def _sweep_peak_growth():
+        # traced peak of a 400-step sweep less that of a 20-step one
+        f = expr.parse("exp(x)")
+        mvroot.sweep_lambda(f, 0.3, 1e-3, 0.1, 4)
+        peaks = []
+        for steps in (20, 400):
+            tracemalloc.start()
+            try:
+                sweep = mvroot.sweep_lambda(f, 0.3, 1e-3, 0.1, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [r.status for r in sweep.rows] == ["ok"] * steps
+        return peaks[1] - peaks[0]
+
+    def test_sweep_memory_is_bounded_in_steps(self, monkeypatch):
+        # 380 more rows add their results and a wider bisection pass (~0.9 MB);
+        # a pass over all 400 grids at once would add some 10 MB
+        assert self._sweep_peak_growth() <= 3 << 19
+        monkeypatch.setattr(integrate, "_EVAL_POINTS", 1 << 30)
+        assert self._sweep_peak_growth() > 4 << 20
 
 
 if __name__ == "__main__":

@@ -109,6 +109,22 @@ class TestDerivatives1d:
         f, d1, d2 = calculus.derivatives_1d(expr.parse("exp(100*x)"), 7.04)
         assert math.isfinite(f) and math.isfinite(d1) and d2 == math.inf
 
+    def test_overflowing_power_is_domain_error(self):
+        # 0.01^-153 = 1e306 is finite; f' = -153 * 0.01^-154 and the power
+        # 0.01^-155 of f'' are not
+        with pytest.raises(DomainError, match="non-finite value"):
+            calculus.derivatives_1d(expr.parse("x^-153"), 0.01)
+
+    @pytest.mark.parametrize("source,x", [("x^-0.5", 1e-125), ("x^-1", -1e-120)])
+    def test_overflowing_power_in_second_derivative(self, source, x):
+        # f and f' are finite; the power of f'' overflows to the array rule's
+        # inf, negative for an odd power of a negative x
+        f = expr.parse(source)
+        got = calculus.derivatives_1d(f, x)
+        array = calculus._univariate_jet(f, np.array([x]))
+        assert got == (array.f[0], array.d1[0], array.d2[0])
+        assert math.isfinite(got[1]) and got[2] == math.copysign(math.inf, x)
+
     def test_infinite_value_is_domain_error(self):
         # f' = 1, but the value is inf
         f = expr.parse("x + 1e200*1e200")

@@ -515,6 +515,22 @@ def _rule_cases():
         yield case("builtin", "builtins", "--name", name, message)
 
 
+class TestOverflowingPowers:
+    """1000^200 overflows: a jet pass at one point and an array pass over
+    points give the same numeric failure, not a Python OverflowError."""
+
+    @pytest.mark.parametrize("command,args", [
+        ("laplacian", ()),
+        ("vderiv", ("--v", "1,0")),
+    ])
+    def test_point_fails_as_the_array_pass_does(self, capsys, command, args):
+        argv = (command, "--fn", "x^200 + y", "--dim", "2", *args)
+        at_point = run(capsys, *argv, "--at", "1000,1")
+        assert at_point == (3, "", "mvlab: numeric failure: non-finite value in "
+                                   "'((x1^200)+x2)'\n")
+        assert run(capsys, *argv, "--points", "3", "--box", "999,1001") == at_point
+
+
 class TestInputRules:
     @pytest.mark.parametrize("command,flag,value,message", list(_rule_cases()))
     def test_rule_is_usage_error(self, capsys, command, flag, value, message):

@@ -3,9 +3,11 @@
 `golden_cli.json` maps each argv (shell-quoted) to [exit code, stdout]:
 the acceptance suite's `_CLI_COMMANDS`, one ball and one sphere check
 whose sample count spans 17 Monte Carlo evaluation blocks, so their bits
-depend on the block size and the left-to-right moment merge, and one
-`poly-verify` whose residual is no power of (b-a): mixed signs over three
-total degrees print the general form, its term order and its "+ -" folding.
+depend on the block size and the left-to-right moment merge, one
+`poly-verify` whose residual is no power of (b-a) (mixed signs over three
+total degrees print the general form, its term order and its "+ -"
+folding), and three sweeps that split their grid scans into blocks
+differently.
 After an intended output change, regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py` and explain every
 difference in CHANGES.md.
@@ -30,7 +32,19 @@ MULTI_BLOCK = [
 ]
 
 GENERAL_RESIDUAL = [["poly-verify", "--coeffs", "1,-2,3,0,5/7,-1/3", "--lambda", "2/7"]]
-GOLDEN_ARGVS = _CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL
+
+# sweeps scan a block of up to 31 grids of 1025 points per pass: 40 steps
+# span two blocks, the log(x) sweep's last interval fails, and a 40,000-cell
+# grid puts one interval in each block
+SWEEP_BLOCKS = [
+    ["sweep", "--fn", "exp(x)", "--x0", "0.3", "--hmin", "1e-3", "--hmax", "0.1",
+     "--steps", "40"],
+    ["sweep", "--fn", "log(x)", "--x0", "0.05", "--hmin", "1e-3", "--hmax", "0.05",
+     "--steps", "12", "--format", "json"],
+    ["sweep", "--fn", "sin(x)", "--x0", "1", "--hmin", "1e-3", "--hmax", "0.5",
+     "--steps", "6", "--grid", "40000"],
+]
+GOLDEN_ARGVS = _CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=shlex.join)
