@@ -28,7 +28,9 @@ exactly 0 rather than silently picking a subgradient.
 Every jet's value is checked with `expr._finite`; derivative parts are
 checked by the function that reads them, so an f'' that overflows fails no
 caller that reads f' (`derivatives_1d` returns f'' unchecked).  Jets reuse
-mvlab.expr's domain rules; only the derivative-only rules live here.
+mvlab.expr's domain rules and its one power rule `_power`, so a float
+jet has the bits of its element in an array jet; only the derivative-only
+rules live here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import expr
-from .expr import Node, _DomainViolation, _REAL_CARRIERS, _any, _broadcast, _finite
+from .expr import Node, _DomainViolation, _REAL_CARRIERS, _any, _broadcast, _finite, _power
 
 __all__ = [
     "Jet2",
@@ -53,16 +55,6 @@ __all__ = [
     "directional_derivative_many",
     "unit_vector",
 ]
-
-
-def _power(t: Any, q: float) -> Any:
-    # t**q for a domain-checked t; a Python float power that overflows is
-    # the inf of numpy's, signed as an odd power of a negative t is, so the
-    # part's reader reports it as non-finite
-    try:
-        return t**q
-    except OverflowError:
-        return math.copysign(math.inf, t) if q % 2 == 1 else math.inf
 
 
 def _pow_term(t: Any, coeff: float, q: float) -> Any:
@@ -184,7 +176,7 @@ class Jet2:
 
     def _reciprocal(self) -> "Jet2":
         inv = expr._real_divide(1.0, self.f)
-        return self._compose(inv, -inv * inv, None if self.d2 is None else 2.0 * inv**3)
+        return self._compose(inv, -inv * inv, None if self.d2 is None else 2.0 * _power(inv, 3.0))
 
     # -- composition with an outer univariate map ----------------------
 

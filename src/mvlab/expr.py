@@ -427,11 +427,12 @@ def print_canonical(ast: Node) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# One tree walker serves every numeric carrier type: plain floats (values
-# from math), numpy arrays (values from np) and the forward-mode Jet2 from
-# mvlab.calculus, which implements the arithmetic dunders plus
-# `apply(fn)` for every name in FUNCTIONS and raises _DomainViolation on
-# domain faults.  Each domain rule below takes a float or an array alike.
+# One tree walker serves every numeric carrier type: plain floats, numpy
+# arrays and the forward-mode Jet2 from mvlab.calculus, which implements
+# the arithmetic dunders plus `apply(fn)` for every name in FUNCTIONS and
+# raises _DomainViolation on domain faults.  Each rule below takes a float
+# or an array alike: a function is its numpy ufunc and a power `_power`, so
+# f(x) has the same bits whether x is a float or an element of any array.
 # `eval_with` turns an inf or NaN real result into a DomainError; a jet's
 # reader checks the parts it reads with `_finite`.
 
@@ -459,36 +460,37 @@ def _real_divide(lhs: Any, rhs: Any) -> Any:
     return lhs / rhs
 
 
-def _small_int_pow(base: np.ndarray, p: int) -> np.ndarray:
-    # binary exponentiation: much faster than np.power for small exponents
-    out = None
-    square = base
-    k = p
+_SMALL_INT_POWERS = frozenset(range(17))  # exponents `_power` takes by binary powering
+
+
+def _power(base: Any, expo: Any) -> Any:
+    # base ** expo for a float, an array or a jet part, by the one rule:
+    # binary powering, low bit first (much faster than np.power), for a
+    # scalar exponent 0..16, np.power otherwise; the callers check domains
+    if not isinstance(expo, float):  # a Python or numpy float is hashed as it is
+        if np.ndim(expo):
+            return np.power(base, expo)
+        expo = float(expo)
+    if expo not in _SMALL_INT_POWERS:
+        return np.power(base, expo)
+    out, square, k = None, base, int(expo)
     while k:
         if k & 1:
             out = square if out is None else out * square
         k >>= 1
         if k:
             square = square * square
-    return out if out is not None else np.ones_like(base)
-
-
-_SMALL_INT_POWERS = frozenset(range(17))  # exponents _small_int_pow takes
+    if out is not None:
+        return out
+    return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0  # a float gives a float
 
 
 def _real_pow(base: Any, expo: Any) -> Any:
-    array_in = isinstance(base, np.ndarray) or isinstance(expo, np.ndarray)
-    if array_in and np.ndim(expo) == 0 and float(expo) in _SMALL_INT_POWERS:
-        return _small_int_pow(base, int(expo))  # no domain check can fail
-    if _any((base < 0) & (expo % 1 != 0)):  # an infinite exponent is not an integer
-        raise _DomainViolation("fractional power of a negative base")
-    _check_zero_power(base, expo)
-    if array_in:
-        return np.power(base, expo)
-    try:
-        return float(base) ** float(expo)
-    except OverflowError:
-        raise _DomainViolation("overflow in power") from None
+    if not (isinstance(expo, float) and expo in _SMALL_INT_POWERS):  # else no check can fail
+        if _any((base < 0) & (expo % 1 != 0)):  # an infinite exponent is not an integer
+            raise _DomainViolation("fractional power of a negative base")
+        _check_zero_power(base, expo)
+    return _power(base, expo)
 
 
 def _real_apply(fn: str, v: Any) -> Any:
@@ -496,12 +498,7 @@ def _real_apply(fn: str, v: Any) -> Any:
         _check_log(v)
     elif fn == "sqrt" and _any(v < 0):
         raise _DomainViolation("sqrt of a negative argument")
-    if isinstance(v, np.ndarray):
-        return getattr(np, fn)(v)
-    try:
-        return getattr(math, "fabs" if fn == "abs" else fn)(float(v))
-    except (OverflowError, ValueError):  # exp overflows; sin, cos of inf
-        raise _DomainViolation(f"{fn} of {float(v)!r} is not a finite real") from None
+    return getattr(np, fn)(v)  # an inf or NaN result is refused by eval_with
 
 
 def _finite(ast: Node, value: Any) -> Any:

@@ -243,7 +243,7 @@ def integrate_1d(
     expression or a vectorized callable.  [a, b] follows the
     `mvroot.Interval` rules.  An expression whose weighted sum overflows
     raises DomainError; a callable's sum is returned unchecked, for its
-    caller to check (mvp's interval checker refuses it as a residual).
+    caller to check.
     """
     mvroot.Interval(a, b)
     if panels < 1 or nodes < 1:

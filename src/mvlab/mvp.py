@@ -119,8 +119,9 @@ def _verdict(
     """Verdict over per-trial residuals: trial i is a violation when
     residuals[i] > allowed[i]; the worst case is the first maximal one.
     `case(i)` describes trial i; only the worst trial and the reported
-    counterexamples are described, so memory stays per-trial floats."""
-    if not all(map(math.isfinite, itertools.chain(residuals, allowed))):
+    counterexamples are described, so memory stays per-trial floats.  A
+    non-finite residual, allowance or tol is a DomainError."""
+    if not all(map(math.isfinite, itertools.chain(residuals, allowed, [tol]))):
         raise expr.DomainError(g, "non-finite residual")
     violations = (i for i, (r, a) in enumerate(zip(residuals, allowed)) if r > a)
     counterexamples = tuple(
@@ -396,9 +397,11 @@ def check_harmonicity(
     expr.check_dimension(g, n)
     pts = _sample_points(box, n, points, seed)
     values, deltas = calculus.laplacian_many(g, pts)
+    with np.errstate(over="ignore"):  # past the largest double, every finite residual is allowed
+        allowed = np.minimum(tol * (1.0 + np.abs(values)), np.finfo(float).max)
     return _verdict(
-        "harmonicity", g, tol, seed, np.abs(deltas).tolist(),
-        (tol * (1.0 + np.abs(values))).tolist(), lambda i: {"point": pts[i].tolist()},
+        "harmonicity", g, tol, seed, np.abs(deltas).tolist(), allowed.tolist(),
+        lambda i: {"point": pts[i].tolist()},
     )
 
 

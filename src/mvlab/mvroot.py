@@ -184,8 +184,8 @@ def _bisect(f: Node, brackets: list[_Bracket]) -> dict[_Scan, expr.EvalError]:
             )
             slope = np.array([b.scan.slope for b in group])[:, None]
             try:
-                values = calculus.first_derivative_many(f, tree.ravel()).reshape(tree.shape)
-                values = values - slope
+                fprime = calculus.first_derivative_many(f, tree.ravel()).reshape(tree.shape)
+                values = _defect(fprime, slope)
             except expr.EvalError:
                 levels, values = 1, _phi(f, tree[:, :1], slope, group, failed)
             steps += levels
@@ -229,6 +229,12 @@ def _heap_order(levels: int) -> np.ndarray:
     return order
 
 
+def _defect(fprime: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    # phi = f' - slope; only its sign is read, and an overflow to inf keeps it
+    with np.errstate(over="ignore"):
+        return fprime - slope
+
+
 def _phi(
     f: Node, mid: np.ndarray, slope: np.ndarray, group: list[_Bracket],
     failed: dict[_Scan, expr.EvalError],
@@ -239,7 +245,7 @@ def _phi(
     for scan in dict.fromkeys(owners):
         part = np.array([o is scan for o in owners])
         try:
-            values[part] = calculus.first_derivative_many(f, mid[part]) - slope[part]
+            values[part] = _defect(calculus.first_derivative_many(f, mid[part]), slope[part])
         except expr.EvalError as exc:
             failed.setdefault(scan, exc)
     return values
@@ -255,7 +261,7 @@ def _scan_block(
     slope = np.array(slopes)[:, None]
     xs = a[:, None] + ((b - a) / grid)[:, None] * np.arange(grid + 1)
     xs[:, -1] = b
-    phi = calculus.first_derivative_many(f, xs.ravel()).reshape(xs.shape) - slope
+    phi = _defect(calculus.first_derivative_many(f, xs.ravel()).reshape(xs.shape), slope)
     flat = np.all(np.abs(phi) <= tol * (1.0 + np.abs(slope)), axis=1).tolist()
     out: list[AbscissaResult | _Scan] = [
         AbscissaResult(iv, s, (), (), True) if is_flat else _Scan(iv, s)

@@ -3,15 +3,15 @@
 The evaluators here are deliberately written from scratch (plain
 structural recursion, no shared helpers with the package) so they can
 serve as oracles: `ref_eval` mirrors IEEE double semantics operation by
-operation, `mp_eval` computes in mpmath working precision for
+operation, under the one numeric rule the package states for floats and
+arrays alike, and `mp_eval` computes in mpmath working precision for
 finite-difference oracles that need headroom below double roundoff.
 """
 
 from __future__ import annotations
 
-import math
-
 import mpmath
+import numpy as np
 import pytest
 
 from mvlab import expr
@@ -53,9 +53,26 @@ SMOOTH_CORPUS: list[tuple[str, tuple[float, float]]] = [
 ]
 
 
+def _ref_power(base, exponent):
+    # the rule for ^: an exponent k in 0..16 is binary powering, which
+    # multiplies the result by base^(2^j) for each set bit j of k, lowest
+    # bit first; any other exponent is np.power
+    if exponent not in range(17):
+        return np.power(base, exponent)
+    result, square, k = None, base, int(exponent)
+    while k:
+        if k % 2:
+            result = square if result is None else result * square
+        k //= 2
+        if k:
+            square = square * square
+    return 1.0 if result is None else result
+
+
 def ref_eval(node, env):
     """Independent float evaluator: same structural recursion order as the
-    package is specified to use, written without touching its internals."""
+    package is specified to use, written without touching its internals.
+    Every function is its numpy ufunc and ^ follows `_ref_power`."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -74,13 +91,10 @@ def ref_eval(node, env):
         if node.op == "/":
             return left / right
         if node.op == "^":
-            return left**right
+            return _ref_power(left, right)
         raise AssertionError(node.op)
     if isinstance(node, Call):
-        value = ref_eval(node.arg, env)
-        if node.fn == "abs":
-            return abs(value)
-        return getattr(math, node.fn)(value)
+        return getattr(np, node.fn)(ref_eval(node.arg, env))
     raise AssertionError(node)
 
 

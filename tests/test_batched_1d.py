@@ -13,9 +13,10 @@ Regenerate (a) only for an intended change of these outputs, with
 
 The weighted digests of x^3 and exp(x) differ from those of the earlier
 per-trial loop, which evaluated f(a) and f(b) on Python floats: the array
-rules compute x^3 by binary powering (`expr._small_int_pow`) where Python
-`float ** float` calls libm pow, and exp by numpy's exp where math.exp
-calls libm's; f' keeps every bit.  15 of the 64 x^3 residuals and 47 of
+rules compute x^3 by binary powering (`expr._power`) where Python
+`float ** float` called libm pow, and exp by numpy's exp where math.exp
+called libm's; f' keeps every bit.  Python floats now follow the array
+rules too.  15 of the 64 x^3 residuals and 47 of
 the 600 exp(x) ones moved by a few ulps (the x^3 worst residual by one),
 and no verdict changed; the sin(x) digest is unchanged.
 """

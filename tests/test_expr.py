@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_eval
-from mvlab import expr
+from mvlab import calculus, expr
 from mvlab.expr import (
     ArityError,
     BinOp,
@@ -157,7 +157,7 @@ class TestEvaluate:
             expr.evaluate(expr.parse("x^0.5"), {"x": -2.0})
 
     def test_power_overflow_is_domain_error(self):
-        with pytest.raises(DomainError, match="overflow in power"):
+        with pytest.raises(DomainError, match="non-finite value"):
             expr.evaluate(expr.parse("10^x"), {"x": 400.0})
 
     @pytest.mark.parametrize("source", ["x*x*x", "x*x*x - x*x*x"])
@@ -232,6 +232,39 @@ def test_reference_evaluator_agreement_exact():
         for x in points:
             expected = ref_eval(ast, {1: x})
             assert expr.evaluate(ast, {"x": x}) == expected, (source, x)
+
+
+def _assert_same_bits(got, want, what):
+    want = np.asarray(want, dtype=float)
+    got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)  # a constant part
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (what, differ[:5].tolist(), got[differ[:5]], want[differ[:5]])
+
+
+@pytest.mark.parametrize("source", _AGREEMENT_CORPUS)
+def test_scalar_and_array_paths_agree_bitwise(source):
+    # one numeric rule: a float gives the bits of its element in an array,
+    # for values (evaluate, eval_many) and for order-2 jets (derivatives_1d)
+    ast = expr.parse(source)
+    xs, scalar = [], []
+    for x in np.random.default_rng(2024).uniform(-4.0, 8.0, 3000).tolist():
+        try:
+            scalar.append((expr.evaluate(ast, {"x": x}), *calculus.derivatives_1d(ast, x)))
+        except DomainError:
+            continue
+        xs.append(x)
+        if len(xs) == 1000:
+            break
+    assert len(xs) == 1000, source
+    xs, scalar = np.array(xs), np.array(scalar)
+    _assert_same_bits(expr.eval_many(ast, {"x": xs}), scalar[:, 0], (source, "eval_many"))
+    jet = expr.eval_with(ast, {1: calculus.Jet2.variable(xs)})
+    for part, column in zip(jet.parts, scalar[:, 1:].T):
+        _assert_same_bits(part, column, (source, "order-2 jet over all points"))
+    for i in range(0, 1000, 25):
+        jet = expr.eval_with(ast, {1: calculus.Jet2.variable(xs[i : i + 1])})
+        for part, want in zip(jet.parts, scalar[i, 1:]):
+            _assert_same_bits(part, [want], (source, "one-point jet", xs[i]))
 
 
 class TestPrintCanonical:

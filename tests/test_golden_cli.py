@@ -6,19 +6,24 @@ whose sample count spans 17 Monte Carlo evaluation blocks, so their bits
 depend on the block size and the left-to-right moment merge, one
 `poly-verify` whose residual is no power of (b-a) (mixed signs over three
 total degrees print the general form, its term order and its "+ -"
-folding), and three sweeps that split their grid scans into blocks
-differently.
+folding), three sweeps that split their grid scans into blocks
+differently, and two commands whose intermediate overflows are never read
+(CI replays the table with RuntimeWarnings as errors).
 After an intended output change, regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py` and explain every
 difference in CHANGES.md.
 """
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import mvlab
 from test_acceptance import _CLI_COMMANDS, _run_cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
@@ -44,13 +49,30 @@ SWEEP_BLOCKS = [
     ["sweep", "--fn", "sin(x)", "--x0", "1", "--hmin", "1e-3", "--hmax", "0.5",
      "--steps", "6", "--grid", "40000"],
 ]
-GOLDEN_ARGVS = _CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS
+# f' - slope overflows in the scan, only its sign is read; the allowance
+# tol*(1 + |g|) passes the largest double, the Laplacian is 0
+QUIET_OVERFLOWS = [
+    ["abscissa", "--fn", "1.7e308*sin(x)", "--a", "0", "--b", "4"],
+    ["laplacian", "--fn", "1e300*x", "--dim", "1", "--tol", "1e10", "--points", "3"],
+]
+GOLDEN_ARGVS = _CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS + QUIET_OVERFLOWS
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=shlex.join)
 def test_cli_output_matches_golden(argv):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert list(_run_cli(argv)) == golden[shlex.join(argv)]
+
+
+@pytest.mark.parametrize("argv", QUIET_OVERFLOWS, ids=shlex.join)
+def test_unread_overflow_prints_nothing(argv):
+    # a fresh interpreter shows every RuntimeWarning on stderr
+    src = str(pathlib.Path(mvlab.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "mvlab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 if __name__ == "__main__":

@@ -230,6 +230,17 @@ class TestHarmonicity:
         assert not v.holds
         assert v.worst_residual == pytest.approx(4.0, rel=1e-12)
 
+    def test_allowance_past_the_largest_double(self):
+        # tol*(1 + |g|) overflowed with a RuntimeWarning and was refused as
+        # a non-finite residual, though the Laplacian is 0 everywhere
+        v = check_harmonicity(expr.parse("1e300*x"), 1, 3, [(0.5, 1.0)], 1, tol=1e10)
+        assert v.holds and v.worst_residual == 0.0
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_is_still_refused(self, tol):
+        with pytest.raises(expr.DomainError, match="non-finite residual"):
+            check_harmonicity(expr.parse("x^2 - y^2"), 2, 3, BOX, 1, tol=tol)
+
     @pytest.mark.parametrize("box", [(-math.inf, 1.0), (-1.7e308, 1.7e308)])
     def test_box_width_must_be_finite(self, box):
         # hi - lo overflowed in the point draw with a numpy RuntimeWarning
