@@ -22,7 +22,8 @@ Rules stated once here, for every caller: the tokens in `_TOKEN_RE`,
 variable names in `_variable_index` (binding keys through `_bind`, which
 refuses two keys for one variable), the dimension 1..10 in
 `check_dimension`, and the real domain in `_real_divide`, `_real_pow` and
-`_real_apply` (also for jets).
+`_real_apply` (also for jets), and the error of a failing batched pass in
+`split_failures`.
 
 Parsing and evaluation are pure; AST nodes are immutable, so one parsed
 expression can be evaluated any number of times.
@@ -34,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +62,7 @@ __all__ = [
     "evaluate",
     "eval_many",
     "eval_with",
+    "split_failures",
     "print_canonical",
     "variables",
     "check_dimension",
@@ -592,3 +594,21 @@ def eval_many(ast: Node, bindings: Mapping[Any, Iterable[float]]) -> np.ndarray:
     env = _bind(bindings, lambda v: np.asarray(v, dtype=float))
     shape = next(iter(env.values())).shape if env else ()
     return _broadcast(eval_with(ast, env), shape)
+
+
+def split_failures(run: Callable[[Any], Any], parts: Sequence) -> Iterator[tuple[Any, Any]]:
+    """Yield (parts, run(parts)), or, if `run` raises a ValueError (an
+    EvalError or a rule such as a shut interval), the pairs of each half of
+    `parts` in turn, down to single parts paired with their own error.  For
+    an elementwise `run` a failing part costs O(log n) calls, and a consumer
+    that stops at the first error makes no further call."""
+    try:
+        pair = parts, run(parts)
+    except ValueError as exc:
+        pair = (parts, exc) if len(parts) == 1 else None
+    if pair is not None:
+        yield pair
+        return
+    half = len(parts) // 2  # outside the handler, so the failed pass's error is freed
+    yield from split_failures(run, parts[:half])
+    yield from split_failures(run, parts[half:])

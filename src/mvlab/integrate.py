@@ -427,15 +427,16 @@ _EVAL_POINTS = 1 << 15  # points sampled and evaluated per block of a draw
 
 
 def _eval_at_points(g: Node, points: np.ndarray) -> np.ndarray:
-    try:
-        # points are rows over contiguous coordinate columns
-        return expr.eval_many(g, dict(enumerate(points.T, start=1)))
-    except expr.DomainError as err:
-        if len(points) > 1:  # checks are elementwise: halve to the first bad row
-            half = len(points) // 2
-            _eval_at_points(g, points[:half])
-            _eval_at_points(g, points[half:])
-        raise McDomainError(tuple(points[0].tolist()), err) from None
+    # points are rows over contiguous coordinate columns; every check is
+    # elementwise, so a failing pass halves down to its first bad row
+    # (`expr.split_failures`), and only a pass with no failure returns
+    def run(rows: np.ndarray) -> np.ndarray:
+        return expr.eval_many(g, dict(enumerate(rows.T, start=1)))
+
+    for rows, values in expr.split_failures(run, points):
+        if isinstance(values, ValueError):  # a DomainError: _mc_average checks g's variables
+            raise McDomainError(tuple(rows[0].tolist()), values) from None
+    return values
 
 
 def _merge_moments(

@@ -23,8 +23,9 @@ The 1-D checkers evaluate a block of trials at once: each value they
 need (f at the endpoints, f' at the quadrature nodes and probes, by an
 order-1 jet pass) comes from one array pass per block, and every
 operation after it is elementwise, so each residual has the bits of a
-one-trial call.  A block that fails is replayed trial by trial, so the
-error raised is the first failing trial's.
+one-trial call.  A block that fails is halved down to the trials that
+fail, by the one rule of `expr.split_failures`, so the error raised is
+the first failing trial's, found in O(log n) passes.
 
 Each input rule is checked in one place: lambda in (0, 1) by
 `exactpoly._check_lambda`, the dimension by `expr.check_dimension`,
@@ -175,19 +176,20 @@ def _blocked_residuals(
 ) -> np.ndarray:
     """`residuals_of` over blocks of at most `block` trials, one row of
     each of `columns` per trial.  Each block's residuals are elementwise,
-    so each has the bits of a one-trial call.  If a block fails, its
-    trials are replayed one at a time, so the error raised is the one the
-    first failing trial raises."""
+    so each has the bits of a one-trial call.  A block that fails is
+    halved down to the trials that fail (`expr.split_failures`), and the
+    first failing trial's error is raised."""
     trials = len(columns[0])
     out = np.empty(trials)
+
+    def run(rows: range) -> np.ndarray:
+        return residuals_of(*(c[rows.start : rows.stop] for c in columns))
+
     for i in range(0, trials, block):
-        part = [c[i : i + block] for c in columns]
-        try:
-            out[i : i + block] = residuals_of(*part)
-        except ValueError:  # expr.EvalError or a shut interval
-            for j in range(len(part[0])):
-                residuals_of(*(c[j : j + 1] for c in part))
-            raise
+        for rows, residuals in expr.split_failures(run, range(i, min(i + block, trials))):
+            if isinstance(residuals, ValueError):  # expr.EvalError or a shut interval
+                raise residuals
+            out[rows.start : rows.stop] = residuals
     return out
 
 

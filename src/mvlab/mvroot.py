@@ -12,10 +12,11 @@ passes where a one-bracket loop made ~36 scalar ones.  `sweep_lambda`
 scans the grids of as many intervals as fit in integrate._EVAL_POINTS in
 one pass (31 at the default 1024 cells), and bisects the brackets of all
 its intervals together, so a sweep makes about as many passes as one
-interval does.  A scan pass that fails is redone one interval at a time,
-so each interval keeps its own error.  Each bracket follows the rules of
-a one-bracket loop and each grid point is computed as a one-interval scan
-computes it, so neither blocking nor lockstep changes a root.
+interval does.  A failing scan or bisection is halved over its intervals
+(`expr.split_failures`), so each interval keeps its own error.  Each
+bracket follows the rules of a one-bracket loop and each grid point is
+computed as a one-interval scan computes it, so neither blocking,
+lockstep nor halving changes a root.
 
 `sweep_lambda` shrinks symmetric intervals [x0-h, x0+h] and tracks how
 fast the abscissa nearest the midpoint approaches it, fitting the
@@ -112,6 +113,7 @@ def lambda_of(c: float, iv: Interval) -> float:
 # _GROUP brackets share a pass, so a pass has at most 32,256 points
 _LEVELS = 6
 _GROUP = 512
+_MIDPOINTS = 200
 
 
 @dataclass(eq=False)
@@ -126,31 +128,34 @@ class _Scan:
 
 
 class _Bracket:
-    """A sign change of phi = f' - scan.slope on [lo, hi], phi_lo = phi(lo).
-    It stops as a one-bracket bisection loop does: when it is no wider than
-    goal = max(target/64, 4 ulp), when its midpoint no longer splits it, or
-    when phi is exactly 0 at the midpoint; root is then that midpoint."""
+    """A sign change of phi = f' - scan.slope on [lo, hi], phi_lo = phi(lo),
+    after `taken` midpoints.  It stops as a one-bracket bisection loop does:
+    when it is no wider than goal = max(target/64, 4 ulp), when its midpoint
+    (0.5*lo + 0.5*hi, which cannot overflow) no longer splits it, when phi
+    is exactly 0 there, or after _MIDPOINTS; root is then that midpoint."""
 
-    __slots__ = ("scan", "lo", "hi", "phi_lo", "goal", "root")
+    __slots__ = ("scan", "lo", "hi", "phi_lo", "goal", "taken", "root")
 
     def __init__(self, scan: _Scan, lo: float, hi: float, phi_lo: float, target: float):
         self.scan, self.lo, self.hi, self.phi_lo = scan, lo, hi, phi_lo
         self.goal = max(target / 64.0, 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)))
+        self.taken = 0
         self.root: float | None = None
 
-    def steps(self, values: list[float], levels: int) -> bool:
+    def steps(self, values: np.ndarray, levels: int) -> bool:
         """Take up to `levels` steps, reading phi at each midpoint from
-        `values`, the bracket's tree in the heap order of `_bisection_tree`;
+        `values`, the bracket's row of `_bisection_tree` in heap order;
         True while the bracket is still open."""
         lo, hi, phi_lo, node = self.lo, self.hi, self.phi_lo, 0
         for step in range(levels + 1):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= self.goal or mid <= lo or mid >= hi:
+            mid = 0.5 * lo + 0.5 * hi
+            if (hi - lo <= self.goal or mid <= lo or mid >= hi
+                    or self.taken + step == _MIDPOINTS):
                 self.root = mid
                 return False
             if step == levels:
                 break
-            val = values[node]
+            val = values.item(node)
             if val == 0.0:
                 self.root = mid
                 return False
@@ -159,43 +164,34 @@ class _Bracket:
             else:
                 hi, node = mid, 2 * node + 1
         self.lo, self.hi, self.phi_lo = lo, hi, phi_lo
+        self.taken += levels
         return True
 
 
-def _bisect(f: Node, brackets: list[_Bracket]) -> dict[_Scan, expr.EvalError]:
-    """Bisect every bracket in lockstep, setting its root.
+def _bisect(f: Node, brackets: list[_Bracket]) -> None:
+    """Set the root of every open bracket of `brackets`, or raise the
+    EvalError of a failing pass; a bracket keeps the steps it has taken.
 
     The open brackets of a group share one array pass per _LEVELS steps:
     it evaluates every node their next steps could reach, and each bracket
     then takes its steps on those values, so its root is that of a
-    one-bracket loop, including its cap of 200 midpoints.  If a pass fails,
-    the step is redone on the open brackets' next midpoints alone, with one
-    pass per interval; an interval whose pass fails has its error returned,
-    keyed by its scan, and its brackets are dropped.
-    """
-    failed: dict[_Scan, expr.EvalError] = {}
+    one-bracket loop.  A node off a bracket's path may fail where the loop
+    never evaluates: then the step is taken on the midpoints alone, and
+    only a failing midpoint fails the bisection."""
+    brackets = [b for b in brackets if b.root is None]
     for first in range(0, len(brackets), _GROUP):
-        group = [b for b in brackets[first : first + _GROUP] if b.scan not in failed]
-        steps = 0
-        while group and steps < 200:
-            levels = min(_LEVELS, 200 - steps)
+        group = brackets[first : first + _GROUP]
+        while group:
+            levels = min(_LEVELS, _MIDPOINTS - min(b.taken for b in group))
             tree = _bisection_tree(
                 np.array([b.lo for b in group]), np.array([b.hi for b in group]), levels
             )
             slope = np.array([b.scan.slope for b in group])[:, None]
             try:
-                fprime = calculus.first_derivative_many(f, tree.ravel()).reshape(tree.shape)
-                values = _defect(fprime, slope)
+                values = _defect(f, tree, slope)
             except expr.EvalError:
-                levels, values = 1, _phi(f, tree[:, :1], slope, group, failed)
-            steps += levels
-            group = [
-                b for b, vals in zip(group, values.tolist())
-                if b.scan not in failed and b.steps(vals, levels)
-            ]
-        for b in group:  # still open after 200 midpoints
-            b.root = 0.5 * (b.lo + b.hi)
-    return failed
+                levels, values = 1, _defect(f, tree[:, :1], slope)
+            group = [b for b, row in zip(group, values) if b.steps(row, levels)]
 
 
 def _bisection_tree(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
@@ -206,14 +202,15 @@ def _bisection_tree(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
 
     Row i of `edges` holds the 2^levels + 1 bracket ends of the last level
     in order; the brackets of level j end at every 2^(levels - j)-th of
-    them, so each level's midpoints fill the gaps of the level above."""
+    them, so each level's midpoints fill the gaps of the level above, each
+    as 0.5*lo + 0.5*hi, like `_Bracket.steps`."""
     width = 2**levels
     edges = np.empty((len(lo), width + 1))
     edges[:, 0], edges[:, width] = lo, hi
     for j in range(levels):
         stride = width >> j
-        ends = edges[:, ::stride]
-        np.multiply(0.5, ends[:, :-1] + ends[:, 1:], out=edges[:, stride // 2 :: stride])
+        half = 0.5 * edges[:, ::stride]
+        np.add(half[:, :-1], half[:, 1:], out=edges[:, stride // 2 :: stride])
     return edges[:, _heap_order(levels)]
 
 
@@ -229,26 +226,11 @@ def _heap_order(levels: int) -> np.ndarray:
     return order
 
 
-def _defect(fprime: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    # phi = f' - slope; only its sign is read, and an overflow to inf keeps it
+def _defect(f: Node, xs: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    # phi = f' - slope by one f' pass; only its sign is read, and an overflow to inf keeps it
+    fprime = calculus.first_derivative_many(f, xs.ravel()).reshape(xs.shape)
     with np.errstate(over="ignore"):
         return fprime - slope
-
-
-def _phi(
-    f: Node, mid: np.ndarray, slope: np.ndarray, group: list[_Bracket],
-    failed: dict[_Scan, expr.EvalError],
-) -> np.ndarray:
-    # one pass per interval, to find whose midpoints fail
-    values = np.full(mid.shape, np.nan)
-    owners = [b.scan for b in group]
-    for scan in dict.fromkeys(owners):
-        part = np.array([o is scan for o in owners])
-        try:
-            values[part] = _defect(calculus.first_derivative_many(f, mid[part]), slope[part])
-        except expr.EvalError as exc:
-            failed.setdefault(scan, exc)
-    return values
 
 
 def _scan_block(
@@ -261,7 +243,7 @@ def _scan_block(
     slope = np.array(slopes)[:, None]
     xs = a[:, None] + ((b - a) / grid)[:, None] * np.arange(grid + 1)
     xs[:, -1] = b
-    phi = _defect(calculus.first_derivative_many(f, xs.ravel()).reshape(xs.shape), slope)
+    phi = _defect(f, xs, slope)
     flat = np.all(np.abs(phi) <= tol * (1.0 + np.abs(slope)), axis=1).tolist()
     out: list[AbscissaResult | _Scan] = [
         AbscissaResult(iv, s, (), (), True) if is_flat else _Scan(iv, s)
@@ -282,19 +264,6 @@ def _scan_block(
             scan = out[row]
             scan.brackets.append(_Bracket(scan, lo, hi, p, tol * scan.iv.width))
     return out
-
-
-def _scans(
-    f: Node, ivs: Sequence[Interval], slopes: Sequence[float], grid: int, tol: float
-) -> list[AbscissaResult | _Scan | expr.EvalError]:
-    # `_scan_block`, with each interval's own error in place of its scan: a
-    # failing pass over several intervals is redone one interval at a time
-    try:
-        return _scan_block(f, ivs, slopes, grid, tol)
-    except expr.EvalError as exc:
-        if len(ivs) == 1:
-            return [exc]
-    return [scan for iv, s in zip(ivs, slopes) for scan in _scans(f, [iv], [s], grid, tol)]
 
 
 def _collect(scan: _Scan, grid: int, tol: float) -> AbscissaResult:
@@ -318,9 +287,9 @@ def _abscissas(
 ) -> list[AbscissaResult | expr.EvalError | NoRootError]:
     """`find_abscissas` on each interval of `ivs`: one grid scan pass per
     block of intervals, then one lockstep bisection of all their brackets.
-    If a block's pass fails, its intervals are scanned one at a time, so an
-    interval whose slope, scan or bisection fails, or that has no root,
-    gives its own error in place of a result."""
+    A failing scan or bisection is halved over its intervals
+    (`expr.split_failures`), so an interval whose slope, scan or bisection
+    fails, or that has no root, gives its own error in place of a result."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     out: list = []
@@ -329,18 +298,24 @@ def _abscissas(
             out.append(average_slope(f, iv))
         except expr.EvalError as exc:
             out.append(exc)
+
+    def scan(ks: list[int]) -> list[AbscissaResult | _Scan]:
+        return _scan_block(f, [ivs[k] for k in ks], [out[k] for k in ks], grid, tol)
+
+    def bisect(ks: list[int]) -> None:
+        _bisect(f, [b for k in ks for b in out[k].brackets])
+
     todo = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
     per_block = max(1, integrate._EVAL_POINTS // (grid + 1))
     for first in range(0, len(todo), per_block):
-        block = todo[first : first + per_block]
-        scans = _scans(f, [ivs[k] for k in block], [out[k] for k in block], grid, tol)
-        for k, scan in zip(block, scans):
-            out[k] = scan
-    failed = _bisect(f, [b for s in out if isinstance(s, _Scan) for b in s.brackets])
-    for k, scan in enumerate(out):
-        if isinstance(scan, _Scan):
+        for ks, scans in expr.split_failures(scan, todo[first : first + per_block]):
+            for k, result in zip(ks, scans if isinstance(scans, list) else [scans]):
+                out[k] = result
+    scanned = [k for k, s in enumerate(out) if isinstance(s, _Scan)]
+    for ks, failed in expr.split_failures(bisect, scanned):
+        for k in ks:
             try:
-                out[k] = failed.get(scan) or _collect(scan, grid, tol)
+                out[k] = failed or _collect(out[k], grid, tol)
             except NoRootError as exc:
                 out[k] = exc
     return out

@@ -184,6 +184,27 @@ class TestBisectionTree:
         got = mvroot._bisection_tree(lo, hi, levels)
         assert got.tobytes() == _repeat_tree(lo, hi, levels).tobytes()
 
+    @pytest.mark.parametrize("levels", [1, 6])
+    def test_brackets_near_the_largest_double(self, levels):
+        # lo + hi overflows, 0.5*lo + 0.5*hi does not; halving each end is
+        # exact here, so the tree is twice the tree of the halved brackets
+        big = np.finfo(float).max
+        rng = np.random.default_rng(levels)
+        lo = big * rng.uniform(0.5, 0.99, 40)
+        hi = np.concatenate([lo[:20] + (big - lo[:20]) * rng.uniform(0.01, 1.0, 20),
+                             np.full(20, big)])
+        got = mvroot._bisection_tree(lo, hi, levels)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == (2.0 * _repeat_tree(lo / 2, hi / 2, levels)).tobytes()
+
+    def test_a_bracket_counts_its_own_midpoints(self):
+        # after 198 midpoints a six-level pass takes two more steps, and the
+        # bracket stops at the next midpoint, as a loop capped at 200 does
+        bracket = mvroot._Bracket(mvroot._Scan(Interval(0.0, 1.0), 0.0), 0.0, 1.0, -1.0, 1.0)
+        bracket.taken = 198
+        assert not bracket.steps(-np.ones(63), 6)  # phi < 0 at every node: go up
+        assert bracket.root == 0.875
+
     def test_heap_order_is_cached_and_read_only(self):
         order = mvroot._heap_order(3)
         assert order is mvroot._heap_order(3) and not order.flags.writeable
@@ -236,6 +257,19 @@ class TestErrorsMatchTheScalarLoops:
         a = -(2.0**-10) - 511 * 2.0**-8
         res = mvroot.find_abscissas(expr.parse("abs(x) + 512*x^2"), Interval(a, a + 4.0))
         assert [c.hex() for c in res.abscissas] == ["0x1.0030000000000p-9"]
+
+    @pytest.mark.parametrize("bad_at", [0, 5, 11])
+    def test_failing_bisection_among_many_intervals(self, bad_at):
+        # the failing bisection is halved over the intervals down to the bad one
+        f = expr.parse("abs(x) + x^3")
+        ivs = [Interval(0.5 + k / 8, 1.5 + k / 8) for k in range(11)]
+        ivs.insert(bad_at, Interval(-1023 / 1024, 1023 / 1024))
+        out = mvroot._abscissas(f, ivs, 1023, 1e-12)
+        assert [isinstance(r, expr.DomainError) for r in out] == [k == bad_at for k in range(12)]
+        assert str(out[bad_at]) == "abs is not differentiable at 0 in 'abs(x1)'"
+        for k, iv in enumerate(ivs):
+            if k != bad_at:
+                assert out[k] == mvroot.find_abscissas(f, iv, grid=1023)
 
     def test_failing_bisection_fails_only_its_interval(self):
         # on [-h, h] with 1023 cells the middle bracket's midpoint is exactly 0
@@ -340,21 +374,45 @@ class TestWorkCounts:
         assert [r.status for r in sweep.rows] == ["ok"] * 6
         assert sizes[:6] == [40_001] * 6 and len(sizes) == 6 + trees
 
-    @pytest.mark.parametrize("source,replayed", [
+    @pytest.mark.parametrize("source,halved", [
         ("log(x)", False),  # log(0) fails the last slope: its grid is never scanned
-        ("sqrt(x)", True),  # sqrt' fails at the last grid's point 0: the block is replayed
+        ("sqrt(x)", True),  # sqrt' fails at the last grid's point 0: the block is halved
     ])
-    def test_failing_interval_fails_only_its_row(self, monkeypatch, source, replayed):
+    def test_failing_interval_fails_only_its_row(self, monkeypatch, source, halved):
         f, x0 = expr.parse(source), 0.05
         sweep, sizes, trees = self._sweep_passes(monkeypatch, source, x0, 1e-3, 0.05, 12)
         assert [r.status for r in sweep.rows] == ["ok"] * 11 + ["failed"]
-        scans = [1025 * 12] + [1025] * 12 if replayed else [1025 * 11]
+        # the failing half of each failing pass is halved again, down to the last grid
+        grids = [12, 6, 6, 3, 3, 1, 2, 1, 1] if halved else [11]
+        scans = [1025 * n for n in grids]
         assert sizes[: len(scans)] == scans and len(sizes) == len(scans) + trees
         for row in sweep.rows[:-1]:
             res = mvroot.find_abscissas(f, Interval(x0 - row.h, x0 + row.h))
             assert row.c in res.abscissas
         with pytest.raises(expr.DomainError):
             mvroot.find_abscissas(f, Interval(x0 - sweep.rows[-1].h, x0 + sweep.rows[-1].h))
+
+    def test_failing_weighted_check_halves_its_block(self, monkeypatch):
+        # one trial of 10,000, the 5,031st, reaches below -0.9999; replayed
+        # trial by trial, the block took 15,095 passes to raise its error
+        passes = _count_calls(monkeypatch, calculus, "first_derivative_many")
+        evals = _count_calls(monkeypatch, expr, "eval_many")
+        with pytest.raises(expr.DomainError) as raised:
+            mvp.check_weighted_property(
+                expr.parse("log(x + 0.9999)"), 0.5, 10_000, Interval(-1.0, 1.0), 0)
+        assert str(raised.value) == "log of a non-positive argument in 'log((x1+0.9999))'"
+        assert len(passes) + len(evals) <= 40
+
+    def test_failing_interval_check_halves_its_block(self, monkeypatch):
+        # trial 1,238 of 5,000 has a node below 0: four blocks of 254 trials
+        # pass, then the fifth is halved, at most 2*8 + 1 passes; replayed
+        # trial by trial, it took 227 passes
+        passes = _count_calls(monkeypatch, calculus, "first_derivative_many")
+        with pytest.raises(expr.DomainError) as raised:
+            mvp.check_interval_mvp(expr.parse("sqrt(x)"), 1 / 3, 5000, Interval(-0.01, 3.0), 9)
+        assert str(raised.value) == (
+            "sqrt of a non-positive argument (derivative undefined at 0) in 'sqrt(x1)'")
+        assert mvp._INTERVAL_BLOCK == 254 and len(passes) <= 4 + 2 * 8 + 1
 
     @staticmethod
     def _peak_growth(check):
@@ -395,7 +453,7 @@ class TestWorkCounts:
         return peaks[1] - peaks[0]
 
     def test_sweep_memory_is_bounded_in_steps(self, monkeypatch):
-        # 380 more rows add their results and a wider bisection pass (~0.9 MB);
+        # 380 more rows add their results and a wider bisection pass (~0.7 MB);
         # a pass over all 400 grids at once would add some 10 MB
         assert self._sweep_peak_growth() <= 3 << 19
         monkeypatch.setattr(integrate, "_EVAL_POINTS", 1 << 30)

@@ -370,6 +370,76 @@ class TestEvalMany:
         assert list(out) == [-3.0, 3.0]
 
 
+def _split_run(bad, calls):
+    # a batched run over integer parts: doubles each, or raises a ValueError
+    # naming its first part in `bad`; records the size of each call
+    def run(parts):
+        calls.append(len(parts))
+        wrong = [p for p in parts if p in bad]
+        if wrong:
+            raise ValueError(f"part {wrong[0]} fails")
+        return [2 * p for p in parts]
+
+    return run
+
+
+class TestSplitFailures:
+    def test_no_failure_is_one_call(self):
+        calls = []
+        parts = list(range(9))
+        assert list(expr.split_failures(_split_run(set(), calls), parts)) == [
+            (parts, [2 * p for p in parts])]
+        assert calls == [9]
+
+    @pytest.mark.parametrize("bad", [{0}, {6}, {2, 3}, {0, 5, 6}, set(range(7))])
+    @pytest.mark.parametrize("wrap", [list, np.array, lambda r: r])
+    def test_pairs_cover_the_parts_in_order(self, bad, wrap):
+        run = _split_run(bad, [])
+        parts = wrap(range(7))
+        pairs = list(expr.split_failures(run, parts))
+        assert [p for part, _ in pairs for p in part] == list(range(7))
+        for part, result in pairs:
+            if isinstance(result, ValueError):
+                # a single part, with the error that part raises alone
+                assert len(part) == 1 and part[0] in bad
+                with pytest.raises(ValueError) as alone:
+                    run(part)
+                assert str(result) == str(alone.value) == f"part {part[0]} fails"
+            else:
+                assert not bad & set(part) and list(result) == [2 * p for p in part]
+        assert [part[0] for part, r in pairs if isinstance(r, ValueError)] == sorted(bad)
+
+    def test_a_consumer_that_stops_at_the_first_error_makes_no_further_call(self):
+        calls = []
+        for _, result in expr.split_failures(_split_run({3, 9}, calls), list(range(16))):
+            if isinstance(result, ValueError):
+                break
+        # 16 fails, then its halves down to [3]: [0..7], [0..3], [0, 1] ok, [2, 3], [2] ok, [3]
+        assert calls == [16, 8, 4, 2, 2, 1, 1]
+        assert str(result) == "part 3 fails"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100, 1000, 4097])
+    def test_one_failing_part_costs_logarithmic_calls(self, n):
+        for bad in sorted({0, n // 3, n // 2, n - 1}):
+            calls = []
+            pairs = list(expr.split_failures(_split_run({bad}, calls), list(range(n))))
+            assert sum(isinstance(r, ValueError) for _, r in pairs) == 1
+            assert len(calls) <= 2 * math.ceil(math.log2(n)) + 1
+
+    def test_only_value_errors_are_split(self):
+        def run(parts):
+            raise TypeError("not a failing part")
+
+        with pytest.raises(TypeError):
+            list(expr.split_failures(run, [1, 2, 3]))
+
+    def test_eval_errors_are_split(self):
+        f, xs = expr.parse("log(x)"), np.array([1.0, 2.0, -1.0, 4.0])
+        pairs = list(expr.split_failures(lambda v: expr.eval_many(f, {"x": v}), xs))
+        assert [len(p) for p, _ in pairs] == [2, 1, 1]
+        assert isinstance(pairs[1][1], DomainError) and pairs[1][0].tolist() == [-1.0]
+
+
 class TestSharedRules:
     """Scalar and array evaluation, and parsed text and binding keys, obey
     one rule each."""

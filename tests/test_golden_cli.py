@@ -7,13 +7,16 @@ depend on the block size and the left-to-right moment merge, one
 `poly-verify` whose residual is no power of (b-a) (mixed signs over three
 total degrees print the general form, its term order and its "+ -"
 folding), three sweeps that split their grid scans into blocks
-differently, and two commands whose intermediate overflows are never read
-(CI replays the table with RuntimeWarnings as errors).
+differently, three commands whose intermediate overflows are never read
+(CI replays the table with RuntimeWarnings as errors), and four commands
+whose batched pass fails and is halved down to its first failure.
 After an intended output change, regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py` and explain every
 difference in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -50,12 +53,37 @@ SWEEP_BLOCKS = [
      "--steps", "6", "--grid", "40000"],
 ]
 # f' - slope overflows in the scan, only its sign is read; the allowance
-# tol*(1 + |g|) passes the largest double, the Laplacian is 0
+# tol*(1 + |g|) passes the largest double, the Laplacian is 0; a bracket's
+# lo + hi passes the largest double, its midpoint 0.5*lo + 0.5*hi does not
 QUIET_OVERFLOWS = [
     ["abscissa", "--fn", "1.7e308*sin(x)", "--a", "0", "--b", "4"],
     ["laplacian", "--fn", "1e300*x", "--dim", "1", "--tol", "1e10", "--points", "3"],
+    ["abscissa", "--fn", "sin(x)", "--a=1e308", "--b=1.7e308", "--grid", "4"],
 ]
-GOLDEN_ARGVS = _CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS + QUIET_OVERFLOWS
+# a failing pass is halved down to what fails: the 5,031st of 10,000
+# weighted trials, the 1,238th interval trial, the last grid of a 400-step
+# sweep (its block's scan), and a bisection midpoint at abs' kink
+FAILING_PASSES = [
+    ["check-weighted", "--fn", "log(x + 0.9999)", "--lambda", "1/2", "--a", "-1", "--b", "1",
+     "--trials", "10000", "--seed", "0"],
+    ["check-interval", "--fn", "sqrt(x)", "--lambda", "1/3", "--a=-0.01", "--b", "3",
+     "--trials", "5000", "--seed", "9"],
+    ["sweep", "--fn", "sqrt(x)", "--x0", "0.05", "--hmin", "1e-3", "--hmax", "0.05",
+     "--steps", "400", "--format", "json"],
+    ["abscissa", "--fn", "abs(x) + x^3", "--a=-0.9990234375", "--b", "0.9990234375",
+     "--grid", "1023"],
+]
+# their stderr, as the trial-by-trial and interval-by-interval replays
+# printed it: the golden table holds exit code and stdout only
+FAILING_STDERR = [
+    "mvlab: numeric failure: log of a non-positive argument in 'log((x1+0.9999))'\n",
+    "mvlab: numeric failure: sqrt of a non-positive argument (derivative undefined at 0)"
+    " in 'sqrt(x1)'\n",
+    "",
+    "mvlab: numeric failure: abs is not differentiable at 0 in 'abs(x1)'\n",
+]
+GOLDEN_ARGVS = (_CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS + QUIET_OVERFLOWS
+                + FAILING_PASSES)
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=shlex.join)
@@ -73,6 +101,15 @@ def test_unread_overflow_prints_nothing(argv):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert (run.returncode, run.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv,stderr", zip(FAILING_PASSES, FAILING_STDERR),
+                         ids=[shlex.join(argv) for argv in FAILING_PASSES])
+def test_failing_pass_reports_its_first_failure(argv, stderr):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _run_cli(argv)
+    assert err.getvalue() == stderr
 
 
 if __name__ == "__main__":
