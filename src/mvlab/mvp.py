@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import calculus, exactpoly, expr, integrate
+from . import calculus, exactpoly, expr, integrate, mvroot
 from .expr import Node
 from .integrate import BallSpec, CounterRng
 from .mvroot import Interval
@@ -194,18 +194,16 @@ def _blocked_residuals(
 
 
 def _weighted_residuals(f: Node, lam: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Residuals of a block of check_weighted_property trials: f(a) and
-    f(b) by one eval_many each, f' at every probe by one order-1 pass,
-    then the literal secant (f(b) - f(a))/(b - a)."""
+    """Residuals of a block of check_weighted_property trials: the literal
+    secant (f(b) - f(a))/(b - a) by one eval_many of each end (the helper
+    `mvroot` scans with), then f' at every probe by one order-1 pass."""
     _check_intervals(a, b)
-    fa = expr.eval_many(f, expr._bind_univariate(f, a))
-    fb = expr.eval_many(f, expr._bind_univariate(f, b))
     # an overflowing secant is not raised here: the block's f' is still
     # computed, so an f' that overflows is the error reported, else _verdict
     # refuses the NaN
+    slope = mvroot._secants(f, a, b)
     deriv = calculus.first_derivative_many(f, lam * a + (1.0 - lam) * b)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = (fb - fa) / (b - a)
         return np.abs(slope - deriv) / (1.0 + np.abs(slope))
 
 
@@ -452,6 +450,18 @@ def list_builtins() -> tuple[str, ...]:
     return tuple(names)
 
 
+def _catalog_index(name: str, prefix: str) -> int:
+    # the index as `list_builtins` spells it: decimal, no sign, space or leading zero
+    text = name.removeprefix(prefix)
+    try:
+        index = int(text)
+    except ValueError:  # not a number, or longer than int() reads
+        index = -1
+    if index < 0 or str(index) != text:
+        raise KeyError(f"unknown builtin field {name!r}")
+    return index
+
+
 def builtin_fields(name: str, n: int) -> Node:
     """Catalog of named test fields in dimension n.
 
@@ -464,21 +474,17 @@ def builtin_fields(name: str, n: int) -> Node:
     """
     expr.check_dimension(None, n)
     if name.startswith("harmonic2d_"):
-        try:
-            k = int(name.removeprefix("harmonic2d_"))
-        except ValueError:
-            raise KeyError(f"unknown builtin field {name!r}") from None
+        k = _catalog_index(name, "harmonic2d_")
         if k not in _HARMONIC2D:
             raise KeyError(f"harmonic2d_k supports k in 0..6, got {k}")
         if n < 2:
             raise ValueError("harmonic2d_k needs dimension >= 2")
         return expr.parse(_HARMONIC2D[k])
     if name.startswith("coordinate_"):
-        try:
-            i = int(name.removeprefix("coordinate_"))
-        except ValueError:
-            raise KeyError(f"unknown builtin field {name!r}") from None
-        if not 1 <= i <= n:
+        i = _catalog_index(name, "coordinate_")
+        if not 1 <= i <= expr.MAX_VARIABLES:
+            raise KeyError(f"coordinate_i supports i in 1..{expr.MAX_VARIABLES}, got {i}")
+        if i > n:
             raise ValueError(f"coordinate_{i} needs dimension >= {i}")
         return expr.parse(f"x{i}")
     if name == "radial_sq":

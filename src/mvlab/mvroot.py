@@ -4,19 +4,19 @@
 slope (f(b) - f(a))/(b - a) by a sign-change scan on a uniform grid
 followed by bisection.  Bisection is unconditionally convergent, which
 matters because the defect f' - slope may have several roots and flat
-stretches; derivative-based polishing is deliberately avoided.  The
-brackets are bisected in lockstep: one array jet pass evaluates every
-midpoint that the next six steps of each open bracket could reach, and
-each bracket then takes those steps on the values, so a bracket needs ~6
-passes where a one-bracket loop made ~36 scalar ones.  `sweep_lambda`
-scans the grids of as many intervals as fit in integrate._EVAL_POINTS in
-one pass (31 at the default 1024 cells), and bisects the brackets of all
-its intervals together, so a sweep makes about as many passes as one
-interval does.  A failing scan or bisection is halved over its intervals
+stretches; derivative-based polishing is deliberately avoided.  One scan
+pass covers as many intervals as fit in integrate._EVAL_POINTS (31 at the
+default 1024 cells): one eval_many of each end gives their secant slopes
+(`_secants`, shared with mvp), one f' pass their grids.  The brackets of
+all intervals are bisected in lockstep: one array jet pass evaluates, in
+position order, every midpoint the next six steps of each open bracket
+could reach, and each bracket binary-searches those values, so it needs
+~6 passes where a one-bracket loop made ~36 scalar ones.  It stops as
+that loop does, within about 54 midpoints and with no further cap.  A
+failing scan or bisection is halved over its intervals
 (`expr.split_failures`), so each interval keeps its own error.  Each
-bracket follows the rules of a one-bracket loop and each grid point is
-computed as a one-interval scan computes it, so neither blocking,
-lockstep nor halving changes a root.
+slope, grid point and midpoint is computed as a one-interval call
+computes it, so neither blocking, lockstep nor halving changes a root.
 
 `sweep_lambda` shrinks symmetric intervals [x0-h, x0+h] and tracks how
 fast the abscissa nearest the midpoint approaches it, fitting the
@@ -32,7 +32,6 @@ approaches 1/2).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -89,12 +88,23 @@ class AbscissaResult:
 def average_slope(f: Node, iv: Interval) -> float:
     """(f(b) - f(a)) / (b - a); a DomainError when it is not finite, as
     when f(b) - f(a) overflows though f(a) and f(b) do not."""
-    fa = expr.evaluate(f, expr._bind_univariate(f, iv.a))
-    fb = expr.evaluate(f, expr._bind_univariate(f, iv.b))
-    slope = (fb - fa) / iv.width
-    if not math.isfinite(slope):
+    return _finite_secants(f, np.array([iv.a]), np.array([iv.b])).item()
+
+
+def _secants(f: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (f(b) - f(a))/(b - a) by one eval_many of each end, unchecked: an
+    # overflowing difference is inf or NaN
+    fa = expr.eval_many(f, expr._bind_univariate(f, a))
+    fb = expr.eval_many(f, expr._bind_univariate(f, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (fb - fa) / (b - a)
+
+
+def _finite_secants(f: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    slopes = _secants(f, a, b)
+    if not np.isfinite(slopes).all():
         raise expr.DomainError(f, "non-finite secant slope")
-    return slope
+    return slopes
 
 
 def lambda_of(c: float, iv: Interval) -> float:
@@ -113,7 +123,6 @@ def lambda_of(c: float, iv: Interval) -> float:
 # _GROUP brackets share a pass, so a pass has at most 32,256 points
 _LEVELS = 6
 _GROUP = 512
-_MIDPOINTS = 200
 
 
 @dataclass(eq=False)
@@ -128,43 +137,42 @@ class _Scan:
 
 
 class _Bracket:
-    """A sign change of phi = f' - scan.slope on [lo, hi], phi_lo = phi(lo),
-    after `taken` midpoints.  It stops as a one-bracket bisection loop does:
-    when it is no wider than goal = max(target/64, 4 ulp), when its midpoint
-    (0.5*lo + 0.5*hi, which cannot overflow) no longer splits it, when phi
-    is exactly 0 there, or after _MIDPOINTS; root is then that midpoint."""
+    """A sign change of phi = f' - slope on [lo, hi], phi_lo = phi(lo).  It
+    stops as a one-bracket bisection loop does: when it is no wider than
+    goal = max(target/64, 4 ulp), when its midpoint (0.5*lo + 0.5*hi, which
+    cannot overflow) no longer splits it, or when phi is exactly 0 there;
+    root is then that midpoint.  From width <= 2M to goal >= M*2^-51,
+    M = max(|lo|, |hi|, 1), that is within about 54 midpoints."""
 
-    __slots__ = ("scan", "lo", "hi", "phi_lo", "goal", "taken", "root")
+    __slots__ = ("lo", "hi", "phi_lo", "slope", "goal", "root")
 
-    def __init__(self, scan: _Scan, lo: float, hi: float, phi_lo: float, target: float):
-        self.scan, self.lo, self.hi, self.phi_lo = scan, lo, hi, phi_lo
+    def __init__(self, lo: float, hi: float, phi_lo: float, slope: float, target: float):
+        self.lo, self.hi, self.phi_lo, self.slope = lo, hi, phi_lo, slope
         self.goal = max(target / 64.0, 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)))
-        self.taken = 0
         self.root: float | None = None
 
     def steps(self, values: np.ndarray, levels: int) -> bool:
         """Take up to `levels` steps, reading phi at each midpoint from
-        `values`, the bracket's row of `_bisection_tree` in heap order;
-        True while the bracket is still open."""
-        lo, hi, phi_lo, node = self.lo, self.hi, self.phi_lo, 0
+        `values`, its row of `_bisection_tree`, by a binary search over the
+        edges (edge k is column k - 1); True while the bracket is open."""
+        lo, hi, phi_lo, lo_edge, hi_edge = self.lo, self.hi, self.phi_lo, 0, 2**levels
         for step in range(levels + 1):
             mid = 0.5 * lo + 0.5 * hi
-            if (hi - lo <= self.goal or mid <= lo or mid >= hi
-                    or self.taken + step == _MIDPOINTS):
+            if hi - lo <= self.goal or mid <= lo or mid >= hi:
                 self.root = mid
                 return False
             if step == levels:
                 break
-            val = values.item(node)
+            edge = (lo_edge + hi_edge) // 2
+            val = values.item(edge - 1)
             if val == 0.0:
                 self.root = mid
                 return False
             if (val < 0.0) == (phi_lo < 0.0):
-                lo, phi_lo, node = mid, val, 2 * node + 2
+                lo, phi_lo, lo_edge = mid, val, edge
             else:
-                hi, node = mid, 2 * node + 1
+                hi, hi_edge = mid, edge
         self.lo, self.hi, self.phi_lo = lo, hi, phi_lo
-        self.taken += levels
         return True
 
 
@@ -182,28 +190,26 @@ def _bisect(f: Node, brackets: list[_Bracket]) -> None:
     for first in range(0, len(brackets), _GROUP):
         group = brackets[first : first + _GROUP]
         while group:
-            levels = min(_LEVELS, _MIDPOINTS - min(b.taken for b in group))
             tree = _bisection_tree(
-                np.array([b.lo for b in group]), np.array([b.hi for b in group]), levels
+                np.array([b.lo for b in group]), np.array([b.hi for b in group]), _LEVELS
             )
-            slope = np.array([b.scan.slope for b in group])[:, None]
+            slope = np.array([b.slope for b in group])[:, None]
             try:
-                values = _defect(f, tree, slope)
+                levels, values = _LEVELS, _defect(f, tree, slope)
             except expr.EvalError:
-                levels, values = 1, _defect(f, tree[:, :1], slope)
+                mid = 2 ** (_LEVELS - 1) - 1  # the column of each bracket's midpoint
+                levels, values = 1, _defect(f, tree[:, mid : mid + 1], slope)
             group = [b for b, row in zip(group, values) if b.steps(row, levels)]
 
 
 def _bisection_tree(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
     """The midpoints of the first `levels` bisection steps of each bracket
-    [lo[i], hi[i]], shape (len(lo), 2^levels - 1), in heap order: node k
-    halves the bracket of its parent (k - 1) // 2, its lower half has node
-    2k + 1 and its upper half 2k + 2.
+    [lo[i], hi[i]], shape (len(lo), 2^levels - 1), in position order.
 
-    Row i of `edges` holds the 2^levels + 1 bracket ends of the last level
-    in order; the brackets of level j end at every 2^(levels - j)-th of
-    them, so each level's midpoints fill the gaps of the level above, each
-    as 0.5*lo + 0.5*hi, like `_Bracket.steps`."""
+    Row i holds the interior edges of the 2^levels cells of the last level,
+    in order; the brackets of level j end at every 2^(levels - j)-th edge,
+    so each level's midpoints fill the gaps of the level above, each as
+    0.5*lo + 0.5*hi, like `_Bracket.steps`."""
     width = 2**levels
     edges = np.empty((len(lo), width + 1))
     edges[:, 0], edges[:, width] = lo, hi
@@ -211,19 +217,7 @@ def _bisection_tree(lo: np.ndarray, hi: np.ndarray, levels: int) -> np.ndarray:
         stride = width >> j
         half = 0.5 * edges[:, ::stride]
         np.add(half[:, :-1], half[:, 1:], out=edges[:, stride // 2 :: stride])
-    return edges[:, _heap_order(levels)]
-
-
-@functools.lru_cache(maxsize=None)
-def _heap_order(levels: int) -> np.ndarray:
-    # column of `_bisection_tree`'s edge array that holds heap node k:
-    # node i of level j halves the i-th bracket of that level
-    width = 2**levels
-    order = np.concatenate([
-        np.arange(width >> (j + 1), width, width >> j) for j in range(levels)
-    ])
-    order.flags.writeable = False
-    return order
+    return edges[:, 1:-1]
 
 
 def _defect(f: Node, xs: np.ndarray, slope: np.ndarray) -> np.ndarray:
@@ -234,20 +228,20 @@ def _defect(f: Node, xs: np.ndarray, slope: np.ndarray) -> np.ndarray:
 
 
 def _scan_block(
-    f: Node, ivs: Sequence[Interval], slopes: Sequence[float], grid: int, tol: float
+    f: Node, ivs: Sequence[Interval], grid: int, tol: float
 ) -> list[AbscissaResult | _Scan]:
-    """The grid scans of `ivs`, whose secant slopes are `slopes`, from one
-    f' pass over all their grids: a flat interval's result, or its exact
-    zeros and sign-change brackets.  A failing pass raises its EvalError."""
+    """The grid scans of `ivs` from one pass: their secant slopes, then f'
+    over all their grids; a flat interval's result, or its exact zeros and
+    sign-change brackets.  A failing pass or non-finite slope raises."""
     a, b = np.array([iv.a for iv in ivs]), np.array([iv.b for iv in ivs])
-    slope = np.array(slopes)[:, None]
+    slope = _finite_secants(f, a, b)[:, None]
     xs = a[:, None] + ((b - a) / grid)[:, None] * np.arange(grid + 1)
     xs[:, -1] = b
     phi = _defect(f, xs, slope)
     flat = np.all(np.abs(phi) <= tol * (1.0 + np.abs(slope)), axis=1).tolist()
     out: list[AbscissaResult | _Scan] = [
         AbscissaResult(iv, s, (), (), True) if is_flat else _Scan(iv, s)
-        for iv, s, is_flat in zip(ivs, slopes, flat)
+        for iv, s, is_flat in zip(ivs, slope.ravel().tolist(), flat)
     ]
     rows, cols = np.nonzero(phi[:, 1:-1] == 0.0)
     for row, x in zip(rows.tolist(), xs[rows, cols + 1].tolist()):
@@ -262,7 +256,7 @@ def _scan_block(
                               xs[rows, cols + 1].tolist(), phi[rows, cols].tolist()):
         if not flat[row]:
             scan = out[row]
-            scan.brackets.append(_Bracket(scan, lo, hi, p, tol * scan.iv.width))
+            scan.brackets.append(_Bracket(lo, hi, p, scan.slope, tol * scan.iv.width))
     return out
 
 
@@ -285,32 +279,23 @@ def _collect(scan: _Scan, grid: int, tol: float) -> AbscissaResult:
 def _abscissas(
     f: Node, ivs: Sequence[Interval], grid: int, tol: float
 ) -> list[AbscissaResult | expr.EvalError | NoRootError]:
-    """`find_abscissas` on each interval of `ivs`: one grid scan pass per
-    block of intervals, then one lockstep bisection of all their brackets.
-    A failing scan or bisection is halved over its intervals
+    """`find_abscissas` on each interval of `ivs`: one scan pass (slopes and
+    grids) per block of intervals, then one lockstep bisection of all their
+    brackets.  A failing scan or bisection is halved over its intervals
     (`expr.split_failures`), so an interval whose slope, scan or bisection
     fails, or that has no root, gives its own error in place of a result."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     out: list = []
-    for iv in ivs:
-        try:
-            out.append(average_slope(f, iv))
-        except expr.EvalError as exc:
-            out.append(exc)
-
-    def scan(ks: list[int]) -> list[AbscissaResult | _Scan]:
-        return _scan_block(f, [ivs[k] for k in ks], [out[k] for k in ks], grid, tol)
+    per_block = max(1, integrate._EVAL_POINTS // (grid + 1))
+    for first in range(0, len(ivs), per_block):
+        block = ivs[first : first + per_block]
+        for _, scans in expr.split_failures(lambda p: _scan_block(f, p, grid, tol), block):
+            out.extend(scans if isinstance(scans, list) else [scans])
 
     def bisect(ks: list[int]) -> None:
         _bisect(f, [b for k in ks for b in out[k].brackets])
 
-    todo = [k for k, s in enumerate(out) if not isinstance(s, Exception)]
-    per_block = max(1, integrate._EVAL_POINTS // (grid + 1))
-    for first in range(0, len(todo), per_block):
-        for ks, scans in expr.split_failures(scan, todo[first : first + per_block]):
-            for k, result in zip(ks, scans if isinstance(scans, list) else [scans]):
-                out[k] = result
     scanned = [k for k, s in enumerate(out) if isinstance(s, _Scan)]
     for ks, failed in expr.split_failures(bisect, scanned):
         for k in ks:

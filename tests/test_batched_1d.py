@@ -158,7 +158,9 @@ class TestPinnedOutputs:
 
 def _repeat_tree(lo, hi, levels):
     # the bisection tree built by repeating each level's bracket ends, as
-    # mvroot once did: the reference for `mvroot._bisection_tree`
+    # mvroot once did, in heap order (node k halves the bracket of its parent
+    # (k - 1) // 2), then put in position order: the reference for
+    # `mvroot._bisection_tree`
     tree = np.empty((len(lo), 2**levels - 1))
     a, b = lo[:, None], hi[:, None]
     for j in range(levels):
@@ -167,7 +169,13 @@ def _repeat_tree(lo, hi, levels):
         a, b = np.repeat(a, 2, axis=1), np.repeat(b, 2, axis=1)
         a[:, 1::2] = m
         b[:, 0::2] = m
-    return tree
+    # node i of level j halves the i-th bracket of that level, which ends at
+    # edges 2i and 2i + 2 of 2^(j + 1) equal steps: its edge is 2i + 1 of them
+    width = 2**levels
+    edge = np.concatenate([np.arange(width >> (j + 1), width, width >> j) for j in range(levels)])
+    ordered = np.empty_like(tree)
+    ordered[:, edge - 1] = tree
+    return ordered
 
 
 class TestBisectionTree:
@@ -197,18 +205,12 @@ class TestBisectionTree:
         assert np.isfinite(got).all()
         assert got.tobytes() == (2.0 * _repeat_tree(lo / 2, hi / 2, levels)).tobytes()
 
-    def test_a_bracket_counts_its_own_midpoints(self):
-        # after 198 midpoints a six-level pass takes two more steps, and the
-        # bracket stops at the next midpoint, as a loop capped at 200 does
-        bracket = mvroot._Bracket(mvroot._Scan(Interval(0.0, 1.0), 0.0), 0.0, 1.0, -1.0, 1.0)
-        bracket.taken = 198
-        assert not bracket.steps(-np.ones(63), 6)  # phi < 0 at every node: go up
-        assert bracket.root == 0.875
-
-    def test_heap_order_is_cached_and_read_only(self):
-        order = mvroot._heap_order(3)
-        assert order is mvroot._heap_order(3) and not order.flags.writeable
-        assert order.tolist() == [4, 2, 6, 1, 3, 5, 7]
+    def test_a_bracket_walks_its_row_in_position_order(self):
+        # column k - 1 holds phi at edge k of 64 equal steps of [0, 1]; phi
+        # changes sign at 0.3, so six steps leave the bracket [19/64, 20/64]
+        bracket = mvroot._Bracket(0.0, 1.0, -0.3, 0.0, 1e-6)
+        assert bracket.steps(np.arange(1, 64) / 64 - 0.3, 6)
+        assert (bracket.lo, bracket.hi, bracket.root) == (19 / 64, 20 / 64, None)
 
 
 class TestErrorsMatchTheScalarLoops:
@@ -345,6 +347,32 @@ class TestWorkCounts:
         assert len(passes) == 1 and np.shape(passes[0][1]) == (50 * 129,)
         assert rules == [] and scalar == []
 
+    def test_sweep_takes_its_slopes_in_the_scan_pass(self, monkeypatch):
+        # one eval_many of the 20 left ends and one of the right ends
+        evaluate = _count_calls(monkeypatch, expr, "evaluate")
+        evals = _count_calls(monkeypatch, expr, "eval_many")
+        sweep = mvroot.sweep_lambda(expr.parse("exp(x)"), 0.3, 1e-3, 0.1, 20)
+        assert [r.status for r in sweep.rows] == ["ok"] * 20
+        assert [np.shape(*bindings.values()) for _, bindings in evals] == [(20,), (20,)]
+        assert evaluate == []
+
+    @pytest.mark.parametrize("a,b,sources", [
+        (-8e307, 8e307, ["tanh(x)", "tanh(x/1e300)"]),
+        (1e-300, 1e-3, ["x^3", "sqrt(x)", "log(x)"]),
+        (-1e300, 1e300, ["tanh(x)", "tanh(x/1e299)"]),
+    ])
+    def test_extreme_brackets_close_within_ten_passes(self, monkeypatch, a, b, sources):
+        # at tol 0 a bracket closes when it is 4 ulp wide or its midpoint no
+        # longer splits it: from a width of at most 2 M to a goal of at least
+        # M * 2^-51, M = max(|lo|, |hi|, 1), within about 54 midpoints
+        trees = _count_calls(monkeypatch, mvroot, "_bisection_tree")
+        for source in sources:
+            for grid in (2, 4, 16, 64, 256, 1024):
+                trees.clear()
+                res = mvroot.find_abscissas(expr.parse(source), Interval(a, b), grid, tol=0.0)
+                assert res.abscissas and all(a < c < b for c in res.abscissas)
+                assert 1 <= len(trees) <= 10, (source, grid)
+
     def test_sweep_makes_no_scalar_jet_pass(self, monkeypatch):
         scalar = _count_calls(monkeypatch, calculus, "derivatives_1d")
         sweep = mvroot.sweep_lambda(expr.parse("exp(x)"), 0.3, 1e-3, 0.1, 20)
@@ -374,16 +402,17 @@ class TestWorkCounts:
         assert [r.status for r in sweep.rows] == ["ok"] * 6
         assert sizes[:6] == [40_001] * 6 and len(sizes) == 6 + trees
 
-    @pytest.mark.parametrize("source,halved", [
-        ("log(x)", False),  # log(0) fails the last slope: its grid is never scanned
-        ("sqrt(x)", True),  # sqrt' fails at the last grid's point 0: the block is halved
+    @pytest.mark.parametrize("source,in_fprime", [
+        ("log(x)", False),  # log(0) fails the last slope, before its block's f' pass
+        ("sqrt(x)", True),  # sqrt' fails at the last grid's point 0, in the f' pass
     ])
-    def test_failing_interval_fails_only_its_row(self, monkeypatch, source, halved):
+    def test_failing_interval_fails_only_its_row(self, monkeypatch, source, in_fprime):
         f, x0 = expr.parse(source), 0.05
         sweep, sizes, trees = self._sweep_passes(monkeypatch, source, x0, 1e-3, 0.05, 12)
         assert [r.status for r in sweep.rows] == ["ok"] * 11 + ["failed"]
-        # the failing half of each failing pass is halved again, down to the last grid
-        grids = [12, 6, 6, 3, 3, 1, 2, 1, 1] if halved else [11]
+        # the failing half of each failing pass is halved again, down to the
+        # last interval; a pass that fails at its slopes makes no f' pass
+        grids = [12, 6, 6, 3, 3, 1, 2, 1, 1] if in_fprime else [6, 3, 1, 1]
         scans = [1025 * n for n in grids]
         assert sizes[: len(scans)] == scans and len(sizes) == len(scans) + trees
         for row in sweep.rows[:-1]:

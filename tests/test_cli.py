@@ -511,7 +511,12 @@ def _rule_cases():
         yield case("point", command, "--at", "1,2", "--at needs 1 coordinates")
     for name, message in (("harmonic2d_7", "harmonic2d_k supports k in 0..6, got 7"),
                           ("coordinate_3", "coordinate_3 needs dimension >= 3"),
-                          ("vconst_harmonic", "vconst_harmonic needs dimension >= 3")):
+                          ("vconst_harmonic", "vconst_harmonic needs dimension >= 3"),
+                          ("coordinate_0", "coordinate_i supports i in 1..10, got 0"),
+                          ("coordinate_11", "coordinate_i supports i in 1..10, got 11"),
+                          ("coordinate_-1", "unknown builtin field 'coordinate_-1'"),
+                          ("coordinate_+1", "unknown builtin field 'coordinate_+1'"),
+                          ("harmonic2d_+2", "unknown builtin field 'harmonic2d_+2'")):
         yield case("builtin", "builtins", "--name", name, message)
 
 

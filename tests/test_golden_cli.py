@@ -8,7 +8,7 @@ depend on the block size and the left-to-right moment merge, one
 total degrees print the general form, its term order and its "+ -"
 folding), three sweeps that split their grid scans into blocks
 differently, three commands whose intermediate overflows are never read
-(CI replays the table with RuntimeWarnings as errors), and four commands
+(CI replays the table with RuntimeWarnings as errors), and six commands
 whose batched pass fails and is halved down to its first failure.
 After an intended output change, regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py` and explain every
@@ -62,7 +62,8 @@ QUIET_OVERFLOWS = [
 ]
 # a failing pass is halved down to what fails: the 5,031st of 10,000
 # weighted trials, the 1,238th interval trial, the last grid of a 400-step
-# sweep (its block's scan), and a bisection midpoint at abs' kink
+# sweep (its block's scan), a bisection midpoint at abs' kink, and secant
+# slopes whose f(b) - f(a) overflows (one interval; rows 2-6 of a scan block)
 FAILING_PASSES = [
     ["check-weighted", "--fn", "log(x + 0.9999)", "--lambda", "1/2", "--a", "-1", "--b", "1",
      "--trials", "10000", "--seed", "0"],
@@ -72,6 +73,9 @@ FAILING_PASSES = [
      "--steps", "400", "--format", "json"],
     ["abscissa", "--fn", "abs(x) + x^3", "--a=-0.9990234375", "--b", "0.9990234375",
      "--grid", "1023"],
+    ["abscissa", "--fn", "1.7e308*sin(x)", "--a=-1.5707963", "--b=1.5707963"],
+    ["sweep", "--fn", "1.7e308*sin(x)", "--x0", "0", "--hmin", "0.5", "--hmax", "1.5",
+     "--steps", "6"],
 ]
 # their stderr, as the trial-by-trial and interval-by-interval replays
 # printed it: the golden table holds exit code and stdout only
@@ -81,6 +85,8 @@ FAILING_STDERR = [
     " in 'sqrt(x1)'\n",
     "",
     "mvlab: numeric failure: abs is not differentiable at 0 in 'abs(x1)'\n",
+    "mvlab: numeric failure: non-finite secant slope in '(1.7e+308*sin(x1))'\n",
+    "",
 ]
 GOLDEN_ARGVS = (_CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS + QUIET_OVERFLOWS
                 + FAILING_PASSES)

@@ -332,6 +332,28 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             builtin_fields("does_not_exist", 2)
 
+    @pytest.mark.parametrize("index", ["+1", "01", " 1", "1 ", "1_0", "\u0661", "-1", "-0",
+                                       pytest.param("1" * 5000, id="5000-digits")])
+    @pytest.mark.parametrize("prefix", ["coordinate_", "harmonic2d_"])
+    def test_index_is_spelled_as_the_catalog_spells_it(self, prefix, index):
+        # int() reads each of these but the last; no name of list_builtins() is spelled so
+        name = prefix + index
+        with pytest.raises(KeyError) as raised:
+            builtin_fields(name, 10)
+        assert raised.value.args == (f"unknown builtin field {name!r}",)
+
+    @pytest.mark.parametrize("i", [0, 11, 10**30])
+    def test_coordinate_index_outside_the_catalog(self, i):
+        # no dimension has coordinate i; dimension 10 has all ten
+        with pytest.raises(KeyError) as raised:
+            builtin_fields(f"coordinate_{i}", 10)
+        assert raised.value.args == (f"coordinate_i supports i in 1..10, got {i}",)
+
+    def test_every_listed_name_builds_in_dimension_10(self):
+        fields = {name: print_canonical(builtin_fields(name, 10)) for name in list_builtins()}
+        assert [fields[f"coordinate_{i}"] for i in range(1, 11)] == [f"x{i}" for i in range(1, 11)]
+        assert len(fields) == 20
+
     def test_listing_covers_catalog(self):
         names = list_builtins()
         assert "harmonic2d_2" in names

@@ -53,6 +53,16 @@ class TestAverageSlope:
         with pytest.raises(expr.DomainError, match="non-finite secant slope"):
             find_abscissas(f, Interval(-1.0, 1.0))
 
+    @pytest.mark.parametrize("source,domain", SMOOTH_CORPUS)
+    def test_is_the_scalar_secant_bit_for_bit(self, source, domain):
+        # the one-interval call of the array secant a scan pass takes
+        f, rng = expr.parse(source), random.Random(source)
+        for _ in range(20):
+            a, b = sorted(rng.uniform(*domain) for _ in range(2))
+            want = (expr.evaluate(f, {"x": b}) - expr.evaluate(f, {"x": a})) / (b - a)
+            got = average_slope(f, Interval(a, b))
+            assert type(got) is float and got.hex() == want.hex(), (a, b)
+
 
 class TestLambdaOf:
     def test_midpoint(self):
