@@ -43,13 +43,11 @@ from .integrate import (
     BallSpec,
     CounterRng,
     McEstimate,
-    ball_volume,
     integrate_1d,
     mc_ball_average,
     mc_sphere_average,
     sample_ball_many,
     sample_sphere_many,
-    sphere_area,
 )
 from .mvp import (
     PropertyVerdict,

@@ -118,20 +118,20 @@ class Jet2:
     def variable(x: Any, order: int = 2) -> "Jet2":
         return Jet2(x, 1.0, 0.0 if order == 2 else None)
 
-    def _lift(self, other: Any) -> "Jet2 | None":
-        # a constant joins the pass at its order
+    def _lift(self, other: Any) -> "Jet2":
+        # expr._walk hands a jet only jets and _REAL_CARRIERS (numpy defers to
+        # the reflected dunders, as __array_ufunc__ is None); a constant joins
+        # the pass at its order
         if isinstance(other, Jet2):
             return other
         if isinstance(other, _REAL_CARRIERS):
             return Jet2(other, 0.0, None if self.d2 is None else 0.0)
-        return None
+        raise TypeError(f"a jet operand must be a jet or a real, not {type(other).__name__}")
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: Any) -> "Jet2":
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
         return Jet2(self.f + o.f, self.d1 + o.d1, None if self.d2 is None else self.d2 + o.d2)
 
     __radd__ = __add__
@@ -141,20 +141,13 @@ class Jet2:
 
     def __sub__(self, other: Any) -> "Jet2":
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
         return Jet2(self.f - o.f, self.d1 - o.d1, None if self.d2 is None else self.d2 - o.d2)
 
     def __rsub__(self, other: Any) -> "Jet2":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self._lift(other) - self
 
     def __mul__(self, other: Any) -> "Jet2":
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
         d1 = self.d1 * o.f + self.f * o.d1
         if self.d2 is None:
             return Jet2(self.f * o.f, d1, None)
@@ -163,16 +156,10 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Any) -> "Jet2":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
+        return self * self._lift(other)._reciprocal()
 
     def __rtruediv__(self, other: Any) -> "Jet2":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
+        return self._lift(other) * self._reciprocal()
 
     def _reciprocal(self) -> "Jet2":
         inv = expr._real_divide(1.0, self.f)
@@ -208,18 +195,13 @@ class Jet2:
         if isinstance(other, _REAL_CARRIERS) and np.ndim(other) == 0:
             return self._pow_const(other)
         o = self._lift(other)
-        if o is None:
-            return NotImplemented
         # a varying or array-valued exponent: x^y = exp(y log x)
         if np.any(np.asarray(self.f) <= 0):
             raise _DomainViolation("power with varying exponent needs a positive base")
         return (o * self.apply("log")).apply("exp")
 
     def __rpow__(self, other: Any) -> "Jet2":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o.__pow__(self)
+        return self._lift(other).__pow__(self)
 
     def _pow_const(self, p: Any) -> "Jet2":
         p = float(p)

@@ -49,7 +49,6 @@ from math import gcd
 from typing import Iterable, Mapping, Union
 
 __all__ = [
-    "Rational",
     "RationalPolynomial",
     "BivariatePolynomial",
     "PolyVerdict",
@@ -62,7 +61,6 @@ __all__ = [
     "MAX_DEGREE",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 MAX_DEGREE = 64  # bivariate expansion is O(d^2) terms; keep it desk-scale
@@ -119,12 +117,6 @@ class RationalPolynomial:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
         return acc
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
@@ -210,9 +202,6 @@ class BivariatePolynomial:
         return sum(
             (c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0)
         )
-
-    def eval_float(self, a: float, b: float) -> float:
-        return float(sum(n / d * a**i * b**j for i, j, n, d in self.rows))
 
     def as_power_of_difference(self) -> tuple[Fraction, int] | None:
         """If the polynomial is exactly gamma * (b - a)^d, return (gamma, d)."""

@@ -28,16 +28,14 @@ points that reuse one point buffer, and the blocks' moments merge left to
 right, so the block size and merge order fix the bits and peak memory does
 not grow with `samples`.
 
-Ball volumes use the integer-dimension recursion V_1 = 2h, V_2 = pi h^2,
-V_n = (2 pi h^2 / n) V_{n-2}; no Gamma function is needed for n <= 10.
 `_check_ball` states the ball rules (dimension, positive finite radius),
 `_check_sphere` the sphere rule, for the sampler and the averages alike:
 n = 1 degenerates to two points, which the interval checkers in mvlab.mvp
 already cover.
 
 Integrand values are checked in `expr.eval_with`; an inf or NaN merged
-mean or standard error, or 1-D integral of an expression (a sum of huge
-finite values can overflow), is a DomainError too.
+mean or standard error, or 1-D integral (a sum of huge finite values can
+overflow), is a DomainError too.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -60,8 +58,6 @@ __all__ = [
     "McEstimate",
     "McDomainError",
     "integrate_1d",
-    "ball_volume",
-    "sphere_area",
     "sample_ball_many",
     "sample_sphere_many",
     "mc_ball_average",
@@ -197,16 +193,6 @@ class McDomainError(expr.EvalError):
 # ---------------------------------------------------------------------------
 # Quadrature
 
-Integrand = Union[Node, Callable[[np.ndarray], np.ndarray]]
-
-
-def _integrand_values(f: Integrand, points: np.ndarray) -> np.ndarray:
-    if callable(f):
-        return np.asarray(f(points), dtype=float)
-    # a constant integrand still binds x1 so eval_many returns an array
-    return expr.eval_many(f, expr._bind_univariate(f, points))
-
-
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference Gauss-Legendre nodes and weights on [-1, 1], read-only."""
@@ -232,54 +218,26 @@ def _composite_rule(
     return points, weights
 
 
-def integrate_1d(
-    f: Integrand, a: float, b: float, panels: int = 64, nodes: int = 16
-) -> float:
-    """Composite Gauss-Legendre quadrature of f over [a, b].
+def integrate_1d(f: Node, a: float, b: float, panels: int = 64, nodes: int = 16) -> float:
+    """Composite Gauss-Legendre quadrature of the expression f over [a, b].
 
     `panels` equal panels of `nodes` points each; exact (to roundoff) for
     polynomials of degree <= 2*nodes - 1.  The reference rule of each node
-    count is computed once and cached.  The integrand is a parsed
-    expression or a vectorized callable.  [a, b] follows the
-    `mvroot.Interval` rules.  An expression whose weighted sum overflows
-    raises DomainError; a callable's sum is returned unchecked, for its
-    caller to check.
+    count is computed once and cached.  [a, b] follows the
+    `mvroot.Interval` rules.  A weighted sum that overflows raises
+    DomainError.
     """
     mvroot.Interval(a, b)
     if panels < 1 or nodes < 1:
         raise ValueError("panels and nodes must be >= 1")
     points, weights = _composite_rule(np.array([a]), np.array([b]), panels, nodes)
-    values = _integrand_values(f, points[0])
+    # a constant integrand still binds x1 so eval_many returns an array
+    values = expr.eval_many(f, expr._bind_univariate(f, points[0]))
     with np.errstate(over="ignore"):
         total = float(np.dot(weights[0], values))
-    if not callable(f) and not math.isfinite(total):
+    if not math.isfinite(total):
         raise expr.DomainError(f, "non-finite integral")
     return total
-
-
-# ---------------------------------------------------------------------------
-# Ball geometry
-
-
-def ball_volume(n: int, h: float) -> float:
-    """Volume of the n-ball of radius h via the two-step recursion."""
-    _check_ball(n, h)
-    return _volume_recursion(n, h)
-
-
-def _volume_recursion(n: int, h):
-    # no validation; generic arithmetic so tests can push complex steps through
-    if n == 1:
-        return 2 * h
-    if n == 2:
-        return math.pi * h * h
-    return (2 * math.pi * h * h / n) * _volume_recursion(n - 2, h)
-
-
-def sphere_area(n: int, h: float) -> float:
-    """Surface area of the (n-1)-sphere of radius h: n * V_n(h) / h."""
-    _check_sphere(n)
-    return n * ball_volume(n, h) / h
 
 
 # ---------------------------------------------------------------------------

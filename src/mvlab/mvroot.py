@@ -238,7 +238,8 @@ def _scan_block(
     xs = a[:, None] + ((b - a) / grid)[:, None] * np.arange(grid + 1)
     xs[:, -1] = b
     phi = _defect(f, xs, slope)
-    flat = np.all(np.abs(phi) <= tol * (1.0 + np.abs(slope)), axis=1).tolist()
+    with np.errstate(over="ignore"):  # an inf allowance reads every finite phi as flat
+        flat = np.all(np.abs(phi) <= tol * (1.0 + np.abs(slope)), axis=1).tolist()
     out: list[AbscissaResult | _Scan] = [
         AbscissaResult(iv, s, (), (), True) if is_flat else _Scan(iv, s)
         for iv, s, is_flat in zip(ivs, slope.ravel().tolist(), flat)

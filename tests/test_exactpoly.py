@@ -159,21 +159,15 @@ class TestMvtResidual:
             mvt_residual(big, Fraction(1, 2))
 
     def test_numeric_symbolic_agreement(self):
+        # the expanded residual equals the residual evaluated directly, exactly
         rng = random.Random(77)
         p = poly_from_coeffs([_rand_fraction(rng) for _ in range(5)])
         lam = Fraction(3, 10)
         res = mvt_residual(p, lam)
         dp = p.derivative()
         for _ in range(20):
-            a = rng.uniform(-3, 3)
-            b = rng.uniform(-3, 3)
-            direct = (
-                p.eval_float(b)
-                - p.eval_float(a)
-                - (b - a) * dp.eval_float(float(lam) * a + (1 - float(lam)) * b)
-            )
-            symbolic = res.eval_float(a, b)
-            assert abs(symbolic - direct) <= 1e-10 * (1.0 + abs(direct))
+            a, b = _rand_fraction(rng), _rand_fraction(rng)
+            assert res.evaluate(a, b) == p(b) - p(a) - (b - a) * dp(lam * a + (1 - lam) * b)
 
 
 def _theorem_predicate(degree, lam):

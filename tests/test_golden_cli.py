@@ -7,7 +7,7 @@ depend on the block size and the left-to-right moment merge, one
 `poly-verify` whose residual is no power of (b-a) (mixed signs over three
 total degrees print the general form, its term order and its "+ -"
 folding), three sweeps that split their grid scans into blocks
-differently, three commands whose intermediate overflows are never read
+differently, five commands whose intermediate overflows are never read
 (CI replays the table with RuntimeWarnings as errors), and six commands
 whose batched pass fails and is halved down to its first failure.
 After an intended output change, regenerate with
@@ -54,11 +54,16 @@ SWEEP_BLOCKS = [
 ]
 # f' - slope overflows in the scan, only its sign is read; the allowance
 # tol*(1 + |g|) passes the largest double, the Laplacian is 0; a bracket's
-# lo + hi passes the largest double, its midpoint 0.5*lo + 0.5*hi does not
+# lo + hi passes the largest double, its midpoint 0.5*lo + 0.5*hi does not;
+# the flat test's allowance tol*(1 + |slope|) is inf, so every finite f' -
+# slope reads flat (one abscissa, and every interval of a sweep)
 QUIET_OVERFLOWS = [
     ["abscissa", "--fn", "1.7e308*sin(x)", "--a", "0", "--b", "4"],
     ["laplacian", "--fn", "1e300*x", "--dim", "1", "--tol", "1e10", "--points", "3"],
     ["abscissa", "--fn", "sin(x)", "--a=1e308", "--b=1.7e308", "--grid", "4"],
+    ["abscissa", "--fn", "1e300*x^2", "--a", "0", "--b", "1", "--tol", "1e10"],
+    ["sweep", "--fn", "1e300*x^3", "--x0", "0.5", "--hmin", "0.01", "--hmax", "0.1",
+     "--steps", "4", "--tol", "1e9"],
 ]
 # a failing pass is halved down to what fails: the 5,031st of 10,000
 # weighted trials, the 1,238th interval trial, the last grid of a 400-step
