@@ -123,10 +123,14 @@ class TestBallGeometry:
         with pytest.raises(ValueError):
             sample_sphere_many(BallSpec((0.0,), 1.0), CounterRng(0), 5)
 
+    @pytest.mark.parametrize(
+        "average", [mc_ball_average, mc_sphere_average], ids=["ball_volume", "sphere_area"]
+    )
     @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
-    def test_radius_must_be_positive_and_finite(self, h):
+    def test_radius_must_be_positive_and_finite(self, average, h):
+        # the ball average is over volume measure, the sphere average over area
         with pytest.raises(ValueError, match="radius must be positive and finite"):
-            BallSpec((0.0, 0.0, 0.0), h)
+            average(expr.parse("1"), BallSpec((0.0, 0.0, 0.0), h), 1000, 0)
 
     def test_ballspec_validation(self):
         with pytest.raises(ValueError):
