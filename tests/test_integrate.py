@@ -487,11 +487,23 @@ class TestStreamedChunks:
     moments over one public sampler draw, merged left to right."""
 
     @pytest.mark.parametrize("samples", [
-        1000, integrate._EVAL_POINTS - 1, integrate._EVAL_POINTS + 1, (1 << 19) + 777,
+        1000, integrate._BLOCK - 1, integrate._BLOCK + 1, integrate._EVAL_POINTS - 1,
+        integrate._EVAL_POINTS + 1, integrate._EVAL_POINTS + integrate._BLOCK + 1,
+        (1 << 19) + 777,
     ])
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_bits_equal_whole_chunk_sampling(self, dim, samples):
         g = expr.parse(f"exp(x1/3) * cos(x{dim}) + x1^4 - 3*x{dim}^2")
+        self._assert_reference_bits(g, dim, samples)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bare_coordinate_bits_across_halves(self, dim):
+        # x1's values are a view of the point buffer that the next half refills
+        samples = integrate._EVAL_POINTS + integrate._BLOCK + 1
+        self._assert_reference_bits(expr.parse("x1"), dim, samples)
+
+    @staticmethod
+    def _assert_reference_bits(g, dim, samples):
         spec = BallSpec(tuple(0.1 * (i + 1) for i in range(dim)), 0.7)
         for average, on_sphere in ((mc_ball_average, False), (mc_sphere_average, True)):
             if on_sphere and dim == 1:
@@ -518,17 +530,28 @@ class TestStreamedChunks:
         est = average(g, spec, 100_000, 21)
         assert (est.estimate.hex(), est.stderr.hex()) == self.MULTI_BLOCK_BITS[(dim, on_sphere)]
 
-    def test_first_bad_point_after_first_block(self):
+    @staticmethod
+    def _first_bad_point(samples, seed, clean):
+        """Index of the first point past the first `clean` ones with x > c,
+        for c their largest x; sqrt(c - x) must fail at that point."""
         spec = BallSpec((0.0, 0.0), 1.0)
-        samples = 1 << 19
-        points = sample_ball_many(spec, CounterRng(6), samples)
-        # no point of the first one and a half blocks has x > c
-        c = float(np.max(points[: 3 * integrate._EVAL_POINTS // 2, 0]))
+        points = sample_ball_many(spec, CounterRng(seed), samples)
+        c = float(np.max(points[:clean, 0]))
         first_bad = int(np.argmax(points[:, 0] > c))
-        assert first_bad > integrate._EVAL_POINTS
         with pytest.raises(McDomainError) as err:
-            mc_ball_average(expr.parse(f"sqrt({c!r} - x)"), spec, samples, 6)
+            mc_ball_average(expr.parse(f"sqrt({c!r} - x)"), spec, samples, seed)
         assert err.value.point == tuple(points[first_bad].tolist())
+        return first_bad
+
+    def test_first_bad_point_after_first_block(self):
+        # no point of the first one and a half blocks has x > c
+        first_bad = self._first_bad_point(1 << 19, 6, 3 * integrate._EVAL_POINTS // 2)
+        assert first_bad > integrate._EVAL_POINTS
+
+    def test_first_bad_point_in_second_half_of_first_block(self):
+        # no point of the first half has x > c; at seed 7 one of the second has
+        first_bad = self._first_bad_point(1 << 17, 7, integrate._BLOCK)
+        assert integrate._BLOCK < first_bad < integrate._EVAL_POINTS
 
     def test_peak_memory_does_not_grow_with_samples(self):
         g = expr.parse("x^2 - y^2 + x*z")
@@ -543,4 +566,8 @@ class TestStreamedChunks:
             finally:
                 tracemalloc.stop()
 
-        assert peak(1_000_000) - peak(1 << 16) <= 0.5 * 2**20
+        peak_large = peak(1_000_000)
+        assert peak_large - peak(1 << 16) <= 0.5 * 2**20
+        # one (3, _BLOCK) point buffer, one _EVAL_POINTS values buffer and
+        # the evaluator's half-sized temporaries: 1.13 MiB in numpy 2.x
+        assert peak_large <= 1.5 * 2**20

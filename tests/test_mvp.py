@@ -238,8 +238,10 @@ class TestHarmonicity:
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_non_finite_tolerance_is_still_refused(self, tol):
-        with pytest.raises(expr.DomainError, match="non-finite residual"):
+        # an input error, refused before any pass: not a non-finite residual
+        with pytest.raises(ValueError, match="tol must be finite and >= 0") as err:
             check_harmonicity(expr.parse("x^2 - y^2"), 2, 3, BOX, 1, tol=tol)
+        assert not isinstance(err.value, expr.DomainError)
 
     @pytest.mark.parametrize("box", [(-math.inf, 1.0), (-1.7e308, 1.7e308)])
     def test_box_width_must_be_finite(self, box):
@@ -274,6 +276,39 @@ class TestVConstancy:
         s = 1.0 / math.sqrt(2.0)
         v = check_v_constancy(expr.parse("x^2 - y^2"), (s, s), 2, 50, BOX, 2)
         assert not v.holds
+
+
+_W = WeightSpec(0.5)
+_X2 = expr.parse("x^2")  # the midpoint property holds exactly
+_H2 = expr.parse("x^2 - y^2")  # harmonic, and its Laplacian is exactly 0
+
+# each checker on a field that has its property, at a given tol
+CHECKERS = {
+    "weighted": lambda tol: check_weighted_property(_X2, 0.5, 5, Interval(0, 1), 1, tol=tol),
+    "interval": lambda tol: check_interval_mvp(_X2, 0.5, 5, Interval(0, 1), 1, tol=tol),
+    "ball": lambda tol: check_ball_mvp(_H2, _W, 2, BOX, 10000, 1, 2, tol=tol),
+    "sphere": lambda tol: check_sphere_mvp(_H2, _W, 2, BOX, 10000, 1, 2, tol=tol),
+    "harmonicity": lambda tol: check_harmonicity(_H2, 2, 5, BOX, 1, tol=tol),
+    "v_constancy": lambda tol: check_v_constancy(expr.parse("x"), (0.0, 1.0), 2, 5, BOX, 1, tol=tol),
+}
+
+
+class TestTolerance:
+    """Every checker takes a finite tol >= 0; anything else is an input
+    error, as a bad box is, and not a verdict or a numeric failure."""
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_bad_tol_is_value_error(self, checker, tol):
+        # a negative tol used to report counterexamples for an exact property
+        # and a NaN one a non-finite residual
+        with pytest.raises(ValueError, match="tol must be finite and >= 0") as err:
+            CHECKERS[checker](tol)
+        assert not isinstance(err.value, expr.EvalError)
+
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_zero_tol_accepted(self, checker):
+        assert CHECKERS[checker](0.0).tolerance == 0.0
 
 
 class TestVerdict:
