@@ -16,9 +16,8 @@ d2 = None, and no u'', no 2/t^3 and no second-order product is formed.
 Every d1 is computed by the same operations at either order, so an
 order-1 f' has the bits of an order-2 d1 (`first_derivative_many` is
 order 1; `derivatives_1d` and the Laplacian stay order 2).  All jets of
-one pass share its order.  A jet exponent whose d1 vanishes everywhere is
-the one place an order-2 pass reads d2 to pick a branch, so an order-1
-pass that meets one is redone at order 2.
+one pass share its order, and no pass is redone at another: no rule reads
+d1 or d2 to pick a branch.
 
 `Jet2.apply` takes every function's derivatives from one table, u' and u''
 as separate rules so an order-1 pass evaluates no u''.  `abs` is not
@@ -28,9 +27,10 @@ exactly 0 rather than silently picking a subgradient.
 Every jet's value is checked with `expr._finite`; derivative parts are
 checked by the function that reads them, so an f'' that overflows fails no
 caller that reads f' (`derivatives_1d` returns f'' unchecked).  Jets reuse
-mvlab.expr's domain rules and its one power rule `_power`, so a float
-jet has the bits of its element in an array jet; only the derivative-only
-rules live here.
+mvlab.expr's domain rules and its power rules: `expr._walk` picks constant
+or varying from the exponent's expression, `Jet2.__pow__` is the constant
+rule and x^y = exp(y log x) the varying one, so a float jet has the bits of
+its element in an array jet; only the derivative-only rules live here.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ _NOT_DIFFERENTIABLE = {
     "sqrt": (lambda t: t <= 0, "sqrt of a non-positive argument (derivative undefined at 0)"),
     "abs": (lambda t: t == 0, "abs is not differentiable at 0"),
 }
-
-
-class _NeedsSecondOrder(Exception):
-    """An order-1 pass met a jet exponent whose d1 is 0 everywhere: only
-    its d2 tells whether an order-2 pass takes the constant-power branch,
-    so the pass is redone at order 2."""
 
 
 @dataclass(frozen=True)
@@ -186,24 +180,8 @@ class Jet2:
         u1 = first(t, u)
         return self._compose(u, u1, None if self.d2 is None else second(t, u, u1))
 
-    def __pow__(self, other: Any) -> "Jet2":
-        if isinstance(other, Jet2) and not np.any(np.asarray(other.d1) != 0):
-            if other.d2 is None:
-                raise _NeedsSecondOrder
-            if not np.any(np.asarray(other.d2) != 0):
-                other = other.f
-        if isinstance(other, _REAL_CARRIERS) and np.ndim(other) == 0:
-            return self._pow_const(other)
-        o = self._lift(other)
-        # a varying or array-valued exponent: x^y = exp(y log x)
-        if np.any(np.asarray(self.f) <= 0):
-            raise _DomainViolation("power with varying exponent needs a positive base")
-        return (o * self.apply("log")).apply("exp")
-
-    def __rpow__(self, other: Any) -> "Jet2":
-        return self._lift(other).__pow__(self)
-
-    def _pow_const(self, p: Any) -> "Jet2":
+    def __pow__(self, p: float) -> "Jet2":
+        """self ** p for an exponent p that uses no variable (see `expr._walk`)."""
         p = float(p)
         t = self.f
         if not p.is_integer() and _any(t <= 0):
@@ -245,11 +223,7 @@ def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
     """f'(x) at every x in `xs`, computed in a single array-valued order-1
     pass; its bits are those of the order-2 d1."""
     xs = np.asarray(xs, dtype=float)
-    try:
-        jet = _univariate_jet(f, xs, order=1)
-    except _NeedsSecondOrder:
-        jet = _univariate_jet(f, xs)
-    return _broadcast(_finite(f, jet.d1), xs.shape)
+    return _broadcast(_finite(f, _univariate_jet(f, xs, order=1).d1), xs.shape)
 
 
 def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float]) -> Jet2:

@@ -19,10 +19,14 @@ parse time.  Variables are x1..x10; ``x``, ``y``, ``z`` are aliases for
 x1, x2, x3.
 
 Rules stated once here, for every caller: the tokens in `_TOKEN_RE`,
-variable names in `_variable_index` (binding keys through `_bind`, which
-refuses two keys for one variable), the dimension 1..10 in
-`check_dimension`, and the real domain in `_real_divide`, `_real_pow` and
-`_real_apply` (also for jets), and the error of a failing batched pass in
+the depth bound `MAX_DEPTH` in `_check_depth` (a parse error, so no walker
+nears Python's recursion limit), variable names in `_variable_index`
+(binding keys through `_bind`, which refuses two keys for one variable),
+the dimension 1..10 in `check_dimension`, the real domain in
+`_real_divide`, `_real_pow` and `_real_apply` (also for jets), the power
+rule in `_walk` (an exponent that uses no variable is a constant power,
+`_real_pow` or the jet's own, and any other a varying power,
+`_varying_pow`), and the error of a failing batched pass in
 `split_failures`.
 
 Parsing and evaluation are pure; AST nodes are immutable, so one parsed
@@ -57,6 +61,7 @@ __all__ = [
     "FUNCTIONS",
     "CONSTANTS",
     "MAX_VARIABLES",
+    "MAX_DEPTH",
     "tokenize",
     "parse",
     "evaluate",
@@ -71,6 +76,10 @@ __all__ = [
 ]
 
 MAX_VARIABLES = 10
+
+# `parse` refuses a tree deeper than this (a leaf is depth 1) and text
+# nested in more parentheses, so no walker nears Python's recursion limit
+MAX_DEPTH = 100
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh", "abs")
 
@@ -140,7 +149,8 @@ class _DomainViolation(Exception):
 
 class _Node:
     """Base of the node types.  A node is immutable, so the variables its
-    tree uses are found by one walk, on first use, and kept on it."""
+    tree uses are found by one walk, on first use, and kept on it, as are
+    its tree's levels."""
 
     @cached_property
     def _variables(self) -> tuple[int, ...]:
@@ -149,16 +159,16 @@ class _Node:
         def walk(node: Node) -> None:
             if isinstance(node, Var):
                 found.add(node.index)
-            elif isinstance(node, Neg):
-                walk(node.operand)
-            elif isinstance(node, BinOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, Call):
-                walk(node.arg)
+            for child in _children(node):
+                walk(child)
 
         walk(self)
         return tuple(sorted(found))
+
+    @cached_property
+    def _depth(self) -> int:
+        # the parser reads it on each node it builds, so this is one level deep
+        return 1 + max((child._depth for child in _children(self)), default=0)
 
 
 @dataclass(frozen=True)
@@ -194,6 +204,16 @@ class Call(_Node):
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]
+
+
+def _children(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
 
 
 def neg(operand: Node) -> Node:
@@ -282,6 +302,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # parentheses open at pos
+        # a tree has fewer levels than its text has tokens
+        self.shallow = len(tokens) <= MAX_DEPTH
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -291,13 +314,19 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def accept(self, ops: str) -> str | None:
-        """Consume the next token if it is one of the operators `ops`; its text."""
+    def accept(self, ops: str) -> Token | None:
+        """Consume the next token if it is one of the operators `ops`."""
         tok = self.peek()
         if tok.kind == "op" and tok.text in ops:
             self.pos += 1
-            return tok.text
+            return tok
         return None
+
+    def built(self, node: Node, tok: Token) -> Node:
+        """`node`, made by the operator or call at `tok`, if within MAX_DEPTH."""
+        if not self.shallow:
+            _check_depth(node._depth, tok)
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
@@ -306,35 +335,53 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r} after expression", tok.offset)
         return node
 
+    def inner(self, opening: Token) -> Node:
+        """An `expr` inside the parenthesis at `opening`."""
+        self.nesting += 1
+        _check_depth(self.nesting, opening)
+        node = self.expr()
+        self.nesting -= 1
+        return node
+
     def expr(self) -> Node:
         node = self.term()
         while op := self.accept("+-"):
-            node = BinOp(op, node, self.term())
+            node = self.built(BinOp(op.text, node, self.term()), op)
         return node
 
     def term(self) -> Node:
         node = self.unary()
         while op := self.accept("*/"):
-            node = BinOp(op, node, self.unary())
+            node = self.built(BinOp(op.text, node, self.unary()), op)
         return node
 
     def unary(self) -> Node:
-        if self.accept("-"):
-            return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.accept("^"):
-            return BinOp("^", base, self.unary())  # right-associative
-        return base
+        # unary := "-" unary | power and power := atom ("^" unary)?, read as
+        # one chain of signed atoms joined by "^" and folded from the right,
+        # so only parentheses recurse
+        chain: list[tuple[list[Token], Node, Token | None]] = []
+        while True:
+            signs = []
+            while sign := self.accept("-"):
+                signs.append(sign)
+            atom = self.atom()
+            caret = self.accept("^")
+            chain.append((signs, atom, caret))
+            if caret is None:
+                break
+        node = None
+        for signs, atom, caret in reversed(chain):
+            node = atom if caret is None else self.built(BinOp("^", atom, node), caret)
+            for sign in reversed(signs):
+                node = self.built(neg(node), sign)
+        return node
 
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "num":
             return Num(tok.value)
         if tok.kind == "lparen":
-            node = self.expr()
+            node = self.inner(tok)
             closing = self.advance()
             if closing.kind != "rparen":
                 raise ParseError("unclosed parenthesis", tok.offset)
@@ -350,11 +397,11 @@ class _Parser:
         if self.peek().kind == "lparen":
             if name not in FUNCTIONS:
                 raise ParseError(f"unknown function {name!r}", tok.offset)
-            self.advance()
-            args = [self.expr()]
+            opening = self.advance()
+            args = [self.inner(opening)]
             while self.peek().kind == "comma":
                 self.advance()
-                args.append(self.expr())
+                args.append(self.inner(opening))
             closing = self.advance()
             if closing.kind != "rparen":
                 raise ParseError("unclosed parenthesis", tok.offset)
@@ -362,13 +409,18 @@ class _Parser:
                 raise ArityError(
                     f"{name} expects 1 argument, got {len(args)}", tok.offset
                 )
-            return Call(name, args[0])
+            return self.built(Call(name, args[0]), tok)
         if name in CONSTANTS:
             return Num(CONSTANTS[name])
         return self.variable(tok)
 
     def variable(self, tok: Token) -> Var:
         return Var(_variable_index(tok.text, tok.offset))
+
+
+def _check_depth(depth: int, tok: Token) -> None:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression deeper than {MAX_DEPTH} levels", tok.offset)
 
 
 def _variable_index(key: str | int, offset: int | None = None) -> int:
@@ -433,8 +485,9 @@ def print_canonical(ast: Node) -> str:
 # arrays and the forward-mode Jet2 from mvlab.calculus, which implements
 # the arithmetic dunders plus `apply(fn)` for every name in FUNCTIONS and
 # raises _DomainViolation on domain faults.  Each rule below takes a float
-# or an array alike: a function is its numpy ufunc and a power `_power`, so
-# f(x) has the same bits whether x is a float or an element of any array.
+# or an array alike: a function is its numpy ufunc, a constant power
+# `_power` and a varying one np.power, so f(x) has the same bits whether x
+# is a float or an element of any array.
 # `eval_with` turns an inf or NaN real result into a DomainError; a jet's
 # reader checks the parts it reads with `_finite`.
 
@@ -465,14 +518,10 @@ def _real_divide(lhs: Any, rhs: Any) -> Any:
 _SMALL_INT_POWERS = frozenset(range(17))  # exponents `_power` takes by binary powering
 
 
-def _power(base: Any, expo: Any) -> Any:
-    # base ** expo for a float, an array or a jet part, by the one rule:
-    # binary powering, low bit first (much faster than np.power), for a
-    # scalar exponent 0..16, np.power otherwise; the callers check domains
-    if not isinstance(expo, float):  # a Python or numpy float is hashed as it is
-        if np.ndim(expo):
-            return np.power(base, expo)
-        expo = float(expo)
+def _power(base: Any, expo: float) -> Any:
+    # base ** expo for a float, an array or a jet part and a constant expo:
+    # binary powering, low bit first (much faster than np.power), for 0..16,
+    # np.power otherwise; the callers check domains
     if expo not in _SMALL_INT_POWERS:
         return np.power(base, expo)
     out, square, k = None, base, int(expo)
@@ -487,12 +536,33 @@ def _power(base: Any, expo: Any) -> Any:
     return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0  # a float gives a float
 
 
-def _real_pow(base: Any, expo: Any) -> Any:
-    if not (isinstance(expo, float) and expo in _SMALL_INT_POWERS):  # else no check can fail
-        if _any((base < 0) & (expo % 1 != 0)):  # an infinite exponent is not an integer
-            raise _DomainViolation("fractional power of a negative base")
-        _check_zero_power(base, expo)
+def _check_real_pow(base: Any, expo: Any) -> None:
+    if _any((base < 0) & (expo % 1 != 0)):  # an infinite exponent is not an integer
+        raise _DomainViolation("fractional power of a negative base")
+    _check_zero_power(base, expo)
+
+
+def _real_pow(base: Any, expo: float) -> Any:
+    if expo not in _SMALL_INT_POWERS:  # else no check can fail
+        _check_real_pow(base, expo)
     return _power(base, expo)
+
+
+def _varying_pow(base: Any, expo: Any) -> Any:
+    # base ** expo for an expo that uses a variable: np.power of two reals as
+    # arrays (a float as one element, for the bits of any array's element),
+    # else exp(expo * log(base)) for a base whose value (a jet's f) is positive
+    if isinstance(base, _REAL_CARRIERS) and isinstance(expo, _REAL_CARRIERS):
+        _check_real_pow(base, expo)
+        out = np.power(np.atleast_1d(base), np.atleast_1d(expo))
+        return out if np.ndim(base) or np.ndim(expo) else out[0]
+    if _any((base if isinstance(base, _REAL_CARRIERS) else base.f) <= 0):
+        raise _DomainViolation("power with varying exponent needs a positive base")
+    return _apply("exp", expo * _apply("log", base))
+
+
+def _apply(fn: str, v: Any) -> Any:
+    return _real_apply(fn, v) if isinstance(v, _REAL_CARRIERS) else v.apply(fn)
 
 
 def _real_apply(fn: str, v: Any) -> Any:
@@ -554,15 +624,14 @@ def _walk(ast: Node, env: Mapping[int, Any]) -> Any:
                     return _real_divide(lhs, rhs)
                 return lhs / rhs  # AD types check their own denominators
             if ast.op == "^":
-                if isinstance(lhs, _REAL_CARRIERS) and isinstance(rhs, _REAL_CARRIERS):
+                if variables(ast.right):
+                    return _varying_pow(lhs, rhs)
+                if isinstance(lhs, _REAL_CARRIERS):
                     return _real_pow(lhs, rhs)
-                return lhs**rhs
+                return lhs**rhs  # a jet's constant-power rule
             raise TypeError(f"unknown operator {ast.op!r}")
         if isinstance(ast, Call):
-            v = _walk(ast.arg, env)
-            if isinstance(v, _REAL_CARRIERS):
-                return _real_apply(ast.fn, v)
-            return v.apply(ast.fn)
+            return _apply(ast.fn, _walk(ast.arg, env))
     except _DomainViolation as exc:
         raise DomainError(ast, str(exc)) from None
     raise TypeError(f"not an AST node: {ast!r}")

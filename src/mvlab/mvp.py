@@ -30,7 +30,7 @@ the first failing trial's, found in O(log n) passes.
 Each input rule is checked in one place: lambda in (0, 1) by
 `exactpoly._check_lambda`, the dimension by `expr.check_dimension`,
 ball radius and sphere rules in `integrate`, the box in `_as_box`, the
-tolerance in `_check_tol`, and the trial or point count, with every seeded
+tolerance in `mvroot._check_tol`, and the trial or point count, with every seeded
 instance draw, in `_draw`.
 """
 
@@ -144,12 +144,6 @@ def _verdict(
     )
 
 
-def _check_tol(tol: float) -> None:
-    # an input rule, not a numeric failure: a NaN tol is no DomainError
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def _draw(ranges: Sequence[tuple[float, float]], count: int, seed: int, what: str) -> np.ndarray:
     """`count` seeded points lo + u * (hi - lo) in the box `ranges`, one per row."""
     if count < 1:
@@ -226,7 +220,7 @@ def check_weighted_property(
     subintervals of `domain`?  Residuals are relative to 1 + |slope|.
     Blocks of up to integrate._EVAL_POINTS trials share one array pass."""
     lam = WeightSpec(lam).lam
-    _check_tol(tol)
+    mvroot._check_tol(tol)
     a, b = _sample_intervals(domain, trials, seed)
     residuals = _blocked_residuals(
         lambda a, b: _weighted_residuals(f, lam, a, b), integrate._EVAL_POINTS, a, b
@@ -274,7 +268,7 @@ def check_interval_mvp(
     equivalence itself can be tested.  Shares interval sampling with
     check_weighted_property given the same (domain, trials, seed)."""
     lam = WeightSpec(lam).lam
-    _check_tol(tol)
+    mvroot._check_tol(tol)
     a, b = _sample_intervals(domain, trials, seed)
     x, h = 0.5 * (a + b), 0.5 * (b - a)
     residuals = _blocked_residuals(
@@ -324,7 +318,7 @@ def _check_offset_average(
     on_sphere: bool,
 ) -> PropertyVerdict:
     expr.check_dimension(g, n)
-    _check_tol(tol)
+    mvroot._check_tol(tol)
     if samples < 10_000:
         raise ValueError("need samples >= 10000")
     ranges = _as_box(box, n)
@@ -405,7 +399,7 @@ def check_harmonicity(
     """Is the sum of second partials of g zero at random points of `box`?
     Violation when |laplacian| > tol * (1 + |g|)."""
     expr.check_dimension(g, n)
-    _check_tol(tol)
+    mvroot._check_tol(tol)
     pts = _sample_points(box, n, points, seed)
     values, deltas = calculus.laplacian_many(g, pts)
     with np.errstate(over="ignore"):  # past the largest double, every finite residual is allowed
@@ -428,7 +422,7 @@ def check_v_constancy(
     """Is the directional derivative of g along the unit vector v zero at
     random points of `box`?"""
     expr.check_dimension(g, n)
-    _check_tol(tol)
+    mvroot._check_tol(tol)
     pts = _sample_points(box, n, points, seed)
     derivs = calculus.directional_derivative_many(g, pts, v)
     return _verdict(

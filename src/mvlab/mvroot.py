@@ -85,6 +85,12 @@ class AbscissaResult:
     degenerate: bool  # f' constant at the secant slope: every point qualifies
 
 
+def _check_tol(tol: float) -> None:
+    # an input rule, not a numeric failure: a NaN tol is no DomainError
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def average_slope(f: Node, iv: Interval) -> float:
     """(f(b) - f(a)) / (b - a); a DomainError when it is not finite, as
     when f(b) - f(a) overflows though f(a) and f(b) do not."""
@@ -314,8 +320,9 @@ def find_abscissas(
 
     If |f'(x) - slope| stays below tol*(1 + |slope|) on every grid point,
     the defect is flat at zero (affine-like f): degenerate=True and no
-    individual abscissas are reported.
+    individual abscissas are reported.  tol must be finite and >= 0.
     """
+    _check_tol(tol)
     result = _abscissas(f, [iv], grid, tol)[0]
     if isinstance(result, Exception):
         raise result
@@ -359,6 +366,7 @@ def sweep_lambda(
     midpoints and are left out of the fit; if every row is excluded the
     order is reported as undefined (None).
     """
+    _check_tol(tol)
     if not 0.0 < h_min < h_max:
         raise ValueError("need 0 < h_min < h_max")
     if steps < 4:

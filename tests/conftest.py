@@ -53,10 +53,17 @@ SMOOTH_CORPUS: list[tuple[str, tuple[float, float]]] = [
 ]
 
 
+def _uses_variable(node):
+    if isinstance(node, Var):
+        return True
+    children = [getattr(node, f) for f in ("operand", "left", "right", "arg") if hasattr(node, f)]
+    return any(map(_uses_variable, children))
+
+
 def _ref_power(base, exponent):
-    # the rule for ^: an exponent k in 0..16 is binary powering, which
-    # multiplies the result by base^(2^j) for each set bit j of k, lowest
-    # bit first; any other exponent is np.power
+    # the rule for ^ with an exponent that uses no variable: k in 0..16 is
+    # binary powering, which multiplies the result by base^(2^j) for each
+    # set bit j of k, lowest bit first; any other exponent is np.power
     if exponent not in range(17):
         return np.power(base, exponent)
     result, square, k = None, base, int(exponent)
@@ -72,7 +79,8 @@ def _ref_power(base, exponent):
 def ref_eval(node, env):
     """Independent float evaluator: same structural recursion order as the
     package is specified to use, written without touching its internals.
-    Every function is its numpy ufunc and ^ follows `_ref_power`."""
+    Every function is its numpy ufunc; ^ is np.power when its exponent
+    uses a variable and follows `_ref_power` otherwise."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -91,7 +99,7 @@ def ref_eval(node, env):
         if node.op == "/":
             return left / right
         if node.op == "^":
-            return _ref_power(left, right)
+            return np.power(left, right) if _uses_variable(node.right) else _ref_power(left, right)
         raise AssertionError(node.op)
     if isinstance(node, Call):
         return getattr(np, node.fn)(ref_eval(node.arg, env))

@@ -234,12 +234,51 @@ class TestFirstOrderPass:
 
     @pytest.mark.parametrize("x", [-1.0, 1.0, 2.0])
     def test_exponent_with_vanishing_d1(self, x):
-        # the exponent's d1 is 0 here, so only its d2 tells an order-2 pass
-        # whether the power is constant (x - x + 2) or varying ((x - 1)^2 at
-        # 1); the order-1 pass redoes itself at order 2 to keep its branch
+        # the exponent's d1 is 0 here, but both exponents use x, so both
+        # powers are varying, x^y = exp(y log x), at either order: the
+        # expression picks the rule, never the value of a d1 or d2
         for source in ("x^(x - x + 2)", "x^((x - 1)^2)"):
             f = expr.parse(source)
             assert _many_or_error(f, [x]) == _d1_or_error(f, np.array([x]), 2), (source, x)
+
+
+def _outcome(call):
+    # the bytes of a result as an array, or the error it raises
+    try:
+        return np.asarray(call(), dtype=float).ravel().tobytes()
+    except expr.EvalError as exc:
+        return str(exc)
+
+
+class TestOnePointEqualsArrayPass:
+    """An exponent that uses a variable is a varying power at one point as
+    over an array, so both passes give the same bits or the same error,
+    whatever the exponent's value or derivatives at the point."""
+
+    @pytest.mark.parametrize("x", [-1.0, 0.5, 2.0])
+    def test_first_derivative(self, x):
+        f = expr.parse("x^(x-x+2)")
+        assert (_outcome(lambda: calculus.derivatives_1d(f, x)[1])
+                == _outcome(lambda: calculus.first_derivative_many(f, [x])))
+
+    @pytest.mark.parametrize("point", [(-1.0, 2.0), (2.0, 3.0), (0.7, -1.5)])
+    def test_directional_derivative(self, point):
+        g = expr.parse("x^y")
+        assert (_outcome(lambda: calculus.directional_derivative(g, point, (1.0, 0.0)))
+                == _outcome(lambda: calculus.directional_derivative_many(g, [point], (1.0, 0.0))))
+
+    @pytest.mark.parametrize("point", [(-1.0, 0.5), (1.5, 0.5)])
+    def test_laplacian(self, point):
+        g = expr.parse("x^(y-y+2)")
+        assert (_outcome(lambda: calculus.laplacian(g, point))
+                == _outcome(lambda: calculus.laplacian_many(g, [point])[1]))
+
+    def test_non_positive_base_is_refused_by_both(self):
+        message = "power with varying exponent needs a positive base"
+        with pytest.raises(DomainError, match=message):
+            calculus.derivatives_1d(expr.parse("x^(x-x+2)"), -1.0)
+        with pytest.raises(DomainError, match=message):
+            calculus.laplacian(expr.parse("x^(y-y+2)"), (-1.0, 0.5))
 
 
 class TestGradient:

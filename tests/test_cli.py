@@ -632,6 +632,32 @@ class TestLambdaFamily:
         assert code == 2
 
 
+# refused before any walker runs (nesting past expr.MAX_DEPTH, a usage
+# error) or at one point as over an array (a varying power at a
+# non-positive base, a numeric failure); the golden table replays them
+# through the console script too, outside pytest's deeper stack
+REFUSED = [
+    (["parse", "--fn", "(" * 250 + "x" + ")" * 250], 2,
+     "mvlab: error: expression deeper than 100 levels (at offset 100)\n"),
+    (["check-midpoint", "--fn", "+".join(["x"] * 1000), "--a", "0", "--b", "1"], 2,
+     "mvlab: error: expression deeper than 100 levels (at offset 199)\n"),
+    (["parse", "--fn=" + "-" * 1200 + "x"], 2,
+     "mvlab: error: expression deeper than 100 levels (at offset 1100)\n"),
+    (["laplacian", "--fn", "x^(y-y+2)", "--dim", "2", "--at=-1,0.5"], 3,
+     "mvlab: numeric failure: power with varying exponent needs a positive base"
+     " in '(x1^((x2-x2)+2))'\n"),
+    (["vderiv", "--fn", "x^(x-x+2)", "--dim", "1", "--v", "1", "--at=-1"], 3,
+     "mvlab: numeric failure: power with varying exponent needs a positive base"
+     " in '(x1^((x1-x1)+2))'\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stderr", REFUSED, ids=[
+    "deep parentheses", "long sum", "many signs", "laplacian at a point", "vderiv at a point"])
+def test_refused_with_its_message(capsys, argv, code, stderr):
+    assert run(capsys, *argv) == (code, "", stderr)
+
+
 class TestParseAndBuiltins:
     def test_parse_canonical(self, capsys):
         code, out, _ = run(capsys, "parse", "--fn", "x^2 + 3*x")

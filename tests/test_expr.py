@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_eval
-from mvlab import calculus, expr
+from mvlab import calculus, expr, mvp
 from mvlab.expr import (
     ArityError,
     BinOp,
@@ -110,6 +110,45 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             expr.parse("1 + 2 )")
+
+
+def _levels(node):
+    children = [getattr(node, f) for f in ("operand", "left", "right", "arg") if hasattr(node, f)]
+    return 1 + max(map(_levels, children), default=0)
+
+
+class TestDepthBound:
+    """parse refuses a tree deeper than MAX_DEPTH, or text nested in more
+    parentheses, at the offset of the operator, call or parenthesis that
+    passes it, so no walker meets Python's recursion limit."""
+
+    @pytest.mark.parametrize("source,offset", [
+        ("(" * 250 + "x" + ")" * 250, 100),  # the 101st parenthesis
+        ("+".join(["x"] * 1000), 199),  # the 100th +, 101 levels deep
+        ("-" * 1200 + "x", 1100),  # the sign of the 101st level, from the inside
+        ("x^" * 100 + "x", 1),  # ^ is right-associative: the first is the 101st level
+        ("sin(" * 100 + "x" + ")" * 100, 0),
+    ], ids=["parentheses", "sum", "signs", "powers", "calls"])
+    def test_too_deep_refused(self, source, offset):
+        with pytest.raises(ParseError) as err:
+            expr.parse(source)
+        assert str(err.value) == f"expression deeper than 100 levels (at offset {offset})"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("source", [
+        "(" * 100 + "x" + ")" * 100, "+".join(["x"] * 100), "-" * 99 + "x",
+        "x^" * 99 + "x", "sin(" * 99 + "x" + ")" * 99, "(x+" * 99 + "x" + ")" * 99,
+        "-" * 5000 + "3",  # the signs fold into the literal: one level
+    ], ids=["parentheses", "sum", "signs", "powers", "calls", "nested sums", "folded signs"])
+    def test_at_the_bound_accepted(self, source):
+        ast = expr.parse(source)
+        assert _levels(ast) <= expr.MAX_DEPTH == 100
+        # canonical text nests no more parentheses than its tree has levels
+        assert expr.parse(expr.print_canonical(ast)) == ast
+        assert math.isfinite(calculus.derivatives_1d(ast, 1.0)[1])
+
+    def test_builtin_fields_are_shallow(self):
+        assert max(_levels(mvp.builtin_fields(name, 10)) for name in mvp.list_builtins()) == 12
 
 
 class TestEvaluate:
@@ -265,6 +304,17 @@ def test_scalar_and_array_paths_agree_bitwise(source):
         jet = expr.eval_with(ast, {1: calculus.Jet2.variable(xs[i : i + 1])})
         for part, want in zip(jet.parts, scalar[i, 1:]):
             _assert_same_bits(part, [want], (source, "one-point jet", xs[i]))
+
+
+def test_varying_power_scalar_equals_array():
+    # an exponent that uses a variable takes np.power for a float as for an
+    # array, so evaluate has the bits of eval_many, for integer y in 0..16 too
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([rng.uniform(-3.0, 3.0, 500), rng.uniform(0.05, 3.0, 500)])
+    ys = np.concatenate([rng.integers(0, 17, 500).astype(float), rng.uniform(-4.0, 4.0, 500)])
+    ast = expr.parse("x^y")
+    scalar = [expr.evaluate(ast, {"x": x, "y": y}) for x, y in zip(xs.tolist(), ys.tolist())]
+    _assert_same_bits(scalar, expr.eval_many(ast, {"x": xs, "y": ys}), "x^y")
 
 
 class TestPrintCanonical:

@@ -9,7 +9,9 @@ total degrees print the general form, its term order and its "+ -"
 folding), three sweeps that split their grid scans into blocks
 differently, five commands whose intermediate overflows are never read
 (CI replays the table with RuntimeWarnings as errors), and six commands
-whose batched pass fails and is halved down to its first failure.
+whose batched pass fails and is halved down to its first failure, and
+`test_cli.REFUSED`: three expressions nested too deep to parse and two
+varying powers at one non-positive base.
 After an intended output change, regenerate with
 `PYTHONPATH=src python tests/test_golden_cli.py` and explain every
 difference in CHANGES.md.
@@ -28,6 +30,7 @@ import pytest
 
 import mvlab
 from test_acceptance import _CLI_COMMANDS, _run_cli
+from test_cli import REFUSED
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
@@ -94,7 +97,7 @@ FAILING_STDERR = [
     "",
 ]
 GOLDEN_ARGVS = (_CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS + QUIET_OVERFLOWS
-                + FAILING_PASSES)
+                + FAILING_PASSES + [argv for argv, _, _ in REFUSED])
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=shlex.join)

@@ -240,3 +240,24 @@ class TestSweepLambda:
         # the geometric grid rounds several steps to the same float
         with pytest.raises(ValueError, match="not strictly increasing"):
             mvroot.sweep_lambda(expr.parse("exp(x)"), 0.0, 1.0, h_max, steps)
+
+
+class TestTolerance:
+    """tol is refused as the checkers refuse it: a NaN tol kept only some
+    abscissas of sin(5x), an infinite one read x^3 as degenerate."""
+
+    CALLS = [
+        ("find_abscissas", lambda f, tol: find_abscissas(f, Interval(-1.0, 3.0), tol=tol)),
+        ("sweep_lambda", lambda f, tol: mvroot.sweep_lambda(f, 0.5, 0.01, 0.1, 4, tol=tol)),
+    ]
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("source", ["sin(5*x)", "x^3"])
+    @pytest.mark.parametrize("name,call", CALLS, ids=[name for name, _ in CALLS])
+    def test_bad_tol_refused(self, name, call, source, tol):
+        with pytest.raises(ValueError, match=r"tol must be finite and >= 0, got"):
+            call(expr.parse(source), tol)
+
+    @pytest.mark.parametrize("name,call", CALLS, ids=[name for name, _ in CALLS])
+    def test_zero_tol_accepted(self, name, call):
+        call(expr.parse("sin(5*x)"), 0.0)
