@@ -66,7 +66,6 @@ from .mvroot import (
     Interval,
     NoRootError,
     SweepResult,
-    average_slope,
     find_abscissas,
     lambda_of,
     sweep_lambda,

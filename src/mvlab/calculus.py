@@ -14,10 +14,10 @@ single tree walk per direction.
 A pass whose readers need only f' runs at order 1: its jets carry
 d2 = None, and no u'', no 2/t^3 and no second-order product is formed.
 Every d1 is computed by the same operations at either order, so an
-order-1 f' has the bits of an order-2 d1 (`first_derivative_many` is
-order 1; `derivatives_1d` and the Laplacian stay order 2).  All jets of
-one pass share its order, and no pass is redone at another: no rule reads
-d1 or d2 to pick a branch.
+order-1 f' has the bits of an order-2 d1 (`first_derivative_many`,
+`gradient` and the directional derivatives are order 1; `derivatives_1d`
+and the Laplacian stay order 2).  All jets of one pass share its order,
+and no pass is redone at another: no rule reads d1 or d2 to pick a branch.
 
 `Jet2.apply` takes every function's derivatives from one table, u' and u''
 as separate rules so an order-1 pass evaluates no u''.  `abs` is not
@@ -226,12 +226,13 @@ def first_derivative_many(f: Node, xs: Sequence[float]) -> np.ndarray:
     return _broadcast(_finite(f, _univariate_jet(f, xs, order=1).d1), xs.shape)
 
 
-def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float]) -> Jet2:
+def _seeded_pass(g: Node, coords: Sequence[Any], direction: Sequence[float], order: int) -> Jet2:
     """Jet of t -> g(coords + t*direction) at t = 0: d1 and d2 are the
-    first and second derivatives of g along `direction`.  Variables with a
-    zero direction component stay plain floats or arrays on the checked
-    real path."""
-    return _jet(g, {j + 1: x if d == 0 else Jet2(x, d, 0.0)
+    first and second derivatives of g along `direction` (d2 is None at
+    order 1).  Variables with a zero direction component stay plain floats
+    or arrays on the checked real path."""
+    d2 = 0.0 if order == 2 else None
+    return _jet(g, {j + 1: x if d == 0 else Jet2(x, d, d2)
                     for j, (x, d) in enumerate(zip(coords, direction))})
 
 
@@ -250,7 +251,7 @@ def _laplacian_pass(g: Node, coords: Sequence[Any]) -> tuple[Any, Any]:
     # (g, sum of pure second partials): one jet pass per axis
     n = len(coords)
     expr.check_dimension(g, n)
-    passes = [_seeded_pass(g, coords, _axis(n, i)) for i in range(n)]
+    passes = [_seeded_pass(g, coords, _axis(n, i), 2) for i in range(n)]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         total = sum(p.d2 for p in passes)
     if not np.isfinite(total).all():  # an inf or NaN d2 makes the sum one
@@ -263,7 +264,7 @@ def _directional_pass(g: Node, coords: Sequence[Any], v: Sequence[float]) -> Any
         raise ValueError("direction and point dimensions differ")
     direction = unit_vector(v)
     expr.check_dimension(g, len(coords))
-    return _finite(g, _seeded_pass(g, coords, direction).d1)
+    return _finite(g, _seeded_pass(g, coords, direction, 1).d1)
 
 
 def unit_vector(v: Sequence[float]) -> tuple[float, ...]:
@@ -277,11 +278,11 @@ def unit_vector(v: Sequence[float]) -> tuple[float, ...]:
 
 
 def gradient(g: Node, point: Sequence[float]) -> list[float]:
-    """Vector of first partials of g at `point`, one jet pass per axis."""
+    """Vector of first partials of g at `point`, one order-1 jet pass per axis."""
     n = len(point)
     expr.check_dimension(g, n)
     coords = [float(x) for x in point]
-    return [float(_finite(g, _seeded_pass(g, coords, _axis(n, i)).d1)) for i in range(n)]
+    return [float(_finite(g, _seeded_pass(g, coords, _axis(n, i), 1).d1)) for i in range(n)]
 
 
 def laplacian(g: Node, point: Sequence[float]) -> float:
@@ -299,12 +300,12 @@ def laplacian_many(g: Node, points: Any) -> tuple[np.ndarray, np.ndarray]:
 
 
 def directional_derivative(g: Node, point: Sequence[float], v: Sequence[float]) -> float:
-    """Derivative of g along the unit vector v, one jet pass seeded along v."""
+    """Derivative of g along the unit vector v, one order-1 jet pass seeded along v."""
     return float(_directional_pass(g, [float(x) for x in point], v))
 
 
 def directional_derivative_many(g: Node, points: Any, v: Sequence[float]) -> np.ndarray:
     """Derivative of g along the unit vector v at every row of `points`,
-    shape (count, dim), from one array-valued jet pass."""
+    shape (count, dim), from one array-valued order-1 jet pass."""
     coords = _columns(points)
     return _broadcast(_directional_pass(g, coords, v), coords[0].shape)

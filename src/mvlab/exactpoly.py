@@ -1,4 +1,4 @@
-"""Exact rational polynomial arithmetic and symbolic residuals.
+"""Exact rational polynomials and their symbolic mean value residuals.
 
 For a univariate polynomial p and a weight 0 < lambda < 1, the residual
 
@@ -28,6 +28,8 @@ coefficient of a^i b^j is n/d in lowest terms with d > 0.  The terms
 are kept in print order, highest total degree first and then ascending
 power of a, so printing and `as_power_of_difference` read the integers
 as they are, and Fractions are made only when `terms` is first read.
+Both types are values: `mvt_residual` reads a `RationalPolynomial`'s
+coefficients directly, so neither type evaluates or does arithmetic.
 
 The monomial family solver handles the fixed-left-endpoint variant: for
 f(x) = x^(k+1) on [0, b], the abscissa sits at c = b * (k+1)^(-1/k) for
@@ -104,31 +106,6 @@ class RationalPolynomial:
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def derivative(self) -> "RationalPolynomial":
-        return poly_from_coeffs(
-            [k * c for k, c in enumerate(self.coeffs)][1:] or [0]
-        )
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return poly_from_coeffs(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)] or [0]
-        )
-
-    def scale(self, factor: RationalLike) -> "RationalPolynomial":
-        factor = _as_fraction(factor)
-        return poly_from_coeffs([c * factor for c in self.coeffs] or [0])
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -192,16 +169,6 @@ class BivariatePolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.rows
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
-
-    def evaluate(self, a: RationalLike, b: RationalLike) -> Fraction:
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        return sum(
-            (c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0)
-        )
 
     def as_power_of_difference(self) -> tuple[Fraction, int] | None:
         """If the polynomial is exactly gamma * (b - a)^d, return (gamma, d)."""

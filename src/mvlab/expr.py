@@ -22,7 +22,8 @@ Rules stated once here, for every caller: the tokens in `_TOKEN_RE`,
 the depth bound `MAX_DEPTH` in `_check_depth` (a parse error, so no walker
 nears Python's recursion limit), variable names in `_variable_index`
 (binding keys through `_bind`, which refuses two keys for one variable),
-the dimension 1..10 in `check_dimension`, the real domain in
+a count (grid, steps, trials, points, samples, dimension) in
+`_check_count`, the dimension 1..10 in `check_dimension`, the real domain in
 `_real_divide`, `_real_pow` and `_real_apply` (also for jets), the power
 rule in `_walk` (an exponent that uses no variable is a constant power,
 `_real_pow` or the jet's own, and any other a varying power,
@@ -36,6 +37,7 @@ expression can be evaluated any number of times.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,10 +231,19 @@ def variables(ast: Node) -> tuple[int, ...]:
     return ast._variables
 
 
+def _check_count(value: Any, what: str) -> int:
+    """`value` as an int, or a ValueError naming the rule when
+    `operator.index` refuses it (2.5, 2.0, "3"); numpy integers are counts."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_dimension(ast: Node | None, n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_VARIABLES and `ast` (when
-    given) uses no variable past x_n."""
-    if not 1 <= n <= MAX_VARIABLES:
+    """Raise ValueError unless n is an integer, 1 <= n <= MAX_VARIABLES
+    and `ast` (when given) uses no variable past x_n."""
+    if not 1 <= _check_count(n, "dimension") <= MAX_VARIABLES:
         raise ValueError(f"dimension must be 1..{MAX_VARIABLES}, got {n}")
     used = variables(ast) if ast is not None else ()
     if used and used[-1] > n:

@@ -157,7 +157,7 @@ class BallSpec:
             dim = len(center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", expr._check_count(dim, "dimension"))
         _check_ball(self.dim, self.radius)
         if len(self.center) != self.dim:
             raise ValueError("center length does not match dim")
@@ -417,6 +417,7 @@ def _mc_average(
     g: Node, spec: BallSpec, samples: int, seed: int, on_sphere: bool
 ) -> McEstimate:
     expr.check_dimension(g, spec.dim)
+    samples = expr._check_count(samples, "samples")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     # blocks, and their halves, run in order, so a domain error names the

@@ -146,6 +146,7 @@ def _verdict(
 
 def _draw(ranges: Sequence[tuple[float, float]], count: int, seed: int, what: str) -> np.ndarray:
     """`count` seeded points lo + u * (hi - lo) in the box `ranges`, one per row."""
+    count = expr._check_count(count, what)
     if count < 1:
         raise ValueError(f"need {what} >= 1")
     k = len(ranges)
@@ -319,6 +320,7 @@ def _check_offset_average(
 ) -> PropertyVerdict:
     expr.check_dimension(g, n)
     mvroot._check_tol(tol)
+    samples = expr._check_count(samples, "samples")
     if samples < 10_000:
         raise ValueError("need samples >= 10000")
     ranges = _as_box(box, n)
@@ -331,7 +333,7 @@ def _check_offset_average(
     # the radius range is one more coordinate of the draw; hmin == hmax is fine
     draws = _draw(ranges + [(h_lo, h_hi)], trials, seed, "trials")
     centers, radii = draws[:, :n].tolist(), draws[:, n].tolist()
-    residuals, allowed, cases = [], [], []
+    residuals, allowed, stderrs = [], [], []
     for t, (center, h) in enumerate(zip(centers, radii)):
         offset = (1.0 - 2.0 * w.lam) * h
         probe = tuple(c + offset * vi for c, vi in zip(center, v))
@@ -340,8 +342,11 @@ def _check_offset_average(
         lhs = expr.evaluate(g, {i + 1: probe[i] for i in range(n)})
         residuals.append(abs(lhs - est.estimate))
         allowed.append(max(tol, 4.0 * est.stderr))
-        cases.append({"center": center, "h": h, "stderr": est.stderr, "allowed": allowed[-1]})
-    return _verdict(name, g, tol, seed, residuals, allowed, cases.__getitem__)
+        stderrs.append(est.stderr)
+    return _verdict(
+        name, g, tol, seed, residuals, allowed,
+        lambda i: {"center": centers[i], "h": radii[i], "stderr": stderrs[i], "allowed": allowed[i]},
+    )
 
 
 def check_ball_mvp(

@@ -47,7 +47,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "NoRootError",
-    "average_slope",
     "find_abscissas",
     "lambda_of",
     "sweep_lambda",
@@ -91,12 +90,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
-def average_slope(f: Node, iv: Interval) -> float:
-    """(f(b) - f(a)) / (b - a); a DomainError when it is not finite, as
-    when f(b) - f(a) overflows though f(a) and f(b) do not."""
-    return _finite_secants(f, np.array([iv.a]), np.array([iv.b])).item()
-
-
 def _secants(f: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # (f(b) - f(a))/(b - a) by one eval_many of each end, unchecked: an
     # overflowing difference is inf or NaN
@@ -104,13 +97,6 @@ def _secants(f: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fb = expr.eval_many(f, expr._bind_univariate(f, b))
     with np.errstate(over="ignore", invalid="ignore"):
         return (fb - fa) / (b - a)
-
-
-def _finite_secants(f: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    slopes = _secants(f, a, b)
-    if not np.isfinite(slopes).all():
-        raise expr.DomainError(f, "non-finite secant slope")
-    return slopes
 
 
 def lambda_of(c: float, iv: Interval) -> float:
@@ -240,7 +226,9 @@ def _scan_block(
     over all their grids; a flat interval's result, or its exact zeros and
     sign-change brackets.  A failing pass or non-finite slope raises."""
     a, b = np.array([iv.a for iv in ivs]), np.array([iv.b for iv in ivs])
-    slope = _finite_secants(f, a, b)[:, None]
+    slope = _secants(f, a, b)[:, None]
+    if not np.isfinite(slope).all():  # f(b) - f(a) may overflow though f(a), f(b) do not
+        raise expr.DomainError(f, "non-finite secant slope")
     xs = a[:, None] + ((b - a) / grid)[:, None] * np.arange(grid + 1)
     xs[:, -1] = b
     phi = _defect(f, xs, slope)
@@ -291,6 +279,7 @@ def _abscissas(
     brackets.  A failing scan or bisection is halved over its intervals
     (`expr.split_failures`), so an interval whose slope, scan or bisection
     fails, or that has no root, gives its own error in place of a result."""
+    grid = expr._check_count(grid, "grid")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     out: list = []
@@ -369,6 +358,7 @@ def sweep_lambda(
     _check_tol(tol)
     if not 0.0 < h_min < h_max:
         raise ValueError("need 0 < h_min < h_max")
+    steps = expr._check_count(steps, "steps")
     if steps < 4:
         raise ValueError("need steps >= 4")
     if not math.isfinite(h_max / h_min):

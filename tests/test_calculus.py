@@ -242,6 +242,46 @@ class TestFirstOrderPass:
             assert _many_or_error(f, [x]) == _d1_or_error(f, np.array([x]), 2), (source, x)
 
 
+class TestOrderOnePointwisePasses:
+    """`gradient` and the directional derivatives read only f', so their
+    passes run at order 1: no f'' rule is called, and each derivative has
+    the bits of the order-2 pass's d1."""
+
+    FIELDS = ("sin(x)*exp(y) + x*z^2", "sqrt(1 + x^2 + y^2) - log(3 + z)",
+              "tanh(x*y)^2 + cos(z)/(2 + x^2)", "x^y + abs(z - 5)", "7", "y")
+    V = (0.48, 0.6, 0.64)
+
+    def _points(self):
+        rng = CounterRng(7)
+        return [tuple(0.25 + 1.5 * u for u in rng.uniforms(3)) for _ in range(12)]
+
+    def test_no_second_derivative_rule_is_called(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an f'' rule was called")
+
+        for fn, (first, _) in list(calculus._DERIVATIVES.items()):
+            monkeypatch.setitem(calculus._DERIVATIVES, fn, (first, refuse))
+        g, pts = expr.parse(self.FIELDS[0]), self._points()
+        assert calculus.directional_derivative_many(g, pts, self.V).shape == (12,)
+        assert len(calculus.gradient(g, pts[0])) == 3
+        calculus.directional_derivative(g, pts[0], self.V)
+        assert mvp.check_v_constancy(g, self.V, 3, 5, (0.25, 1.75), 3, tol=1e300).holds
+        with pytest.raises(AssertionError, match="f'' rule"):
+            calculus.laplacian(g, pts[0])  # the Laplacian reads f''
+
+    @pytest.mark.parametrize("source", FIELDS)
+    def test_bits_of_the_order_two_d1(self, source):
+        g, pts = expr.parse(source), self._points()
+        coords = calculus._columns(pts)
+        want = calculus._seeded_pass(g, coords, self.V, 2).d1
+        got = calculus.directional_derivative_many(g, pts, self.V)
+        assert got.tobytes() == expr._broadcast(want, got.shape).tobytes()
+        for pt in pts[:3]:
+            axes = [calculus._seeded_pass(g, list(pt), calculus._axis(3, i), 2).d1
+                    for i in range(3)]
+            assert calculus.gradient(g, pt) == [float(d) for d in axes]
+
+
 def _outcome(call):
     # the bytes of a result as an array, or the error it raises
     try:

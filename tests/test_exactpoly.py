@@ -20,17 +20,21 @@ from mvlab.exactpoly import (
 )
 
 
-def sympy_residual_terms(coeffs, lam):
-    """Independent oracle: expand p(b) - p(a) - (b-a)*p'(lam*a + (1-lam)*b)
-    with sympy and return {(i, j): Fraction} over a^i b^j."""
+def sympy_residual(coeffs, lam):
+    """Independent oracle: p(b) - p(a) - (b-a)*p'(lam*a + (1-lam)*b) as an
+    unexpanded sympy expression in the symbols a and b."""
     a, b, x = sympy.symbols("a b x")
     lam_s = sympy.Rational(lam.numerator, lam.denominator)
     p = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
     dp = sympy.diff(p, x)
-    r = sympy.expand(
-        p.subs(x, b) - p.subs(x, a) - (b - a) * dp.subs(x, lam_s * a + (1 - lam_s) * b)
-    )
-    poly = sympy.Poly(r, a, b)
+    return p.subs(x, b) - p.subs(x, a) - (b - a) * dp.subs(x, lam_s * a + (1 - lam_s) * b)
+
+
+def sympy_residual_terms(coeffs, lam):
+    """Independent oracle: expand `sympy_residual` with sympy and return
+    {(i, j): Fraction} over a^i b^j."""
+    a, b = sympy.symbols("a b")
+    poly = sympy.Poly(sympy.expand(sympy_residual(coeffs, lam)), a, b)
     out = {}
     for (i, j), c in zip(poly.monoms(), poly.coeffs()):
         q = sympy.Rational(c)
@@ -50,9 +54,10 @@ def fraction_residual_terms(p, lam):
         if c != 0 and k > 0:  # p(b) - p(a); constant terms cancel
             add((0, k), c)
             add((k, 0), -c)
-    for m, d in enumerate(p.derivative().coeffs):
-        if d == 0:
+    for m, c in enumerate(p.coeffs[1:]):  # p' has d = (m+1)*c_(m+1) at x^m
+        if c == 0:
             continue
+        d = (m + 1) * c
         for i in range(m + 1):  # (lam*a + (1-lam)*b)^m, term a^i b^(m-i)
             t = comb(m, i) * lam**i * (1 - lam) ** (m - i)
             add((i, m - i + 1), -d * t)  # times -b
@@ -88,14 +93,6 @@ class TestPolyFromCoeffs:
         with pytest.raises(ValueError):
             poly_from_coeffs([])
 
-    def test_evaluation_exact(self):
-        p = poly_from_coeffs(["1/2", 0, 1])
-        assert p(Fraction(1, 3)) == Fraction(1, 2) + Fraction(1, 9)
-
-    def test_derivative(self):
-        p = poly_from_coeffs([5, 1, 2, 3])
-        assert p.derivative().coeffs == (Fraction(1), Fraction(4), Fraction(9))
-
 
 class TestMvtResidual:
     def test_random_quadratics_vanish_at_half(self):
@@ -127,9 +124,7 @@ class TestMvtResidual:
             lam = Fraction(rng.randint(1, 9), 10)
             p = poly_from_coeffs(coeffs)
             got = dict(mvt_residual(p, lam).terms)
-            want = sympy_residual_terms(
-                [p.coefficient(k) for k in range(len(p.coeffs))] or [Fraction(0)], lam
-            )
+            want = sympy_residual_terms(list(p.coeffs) or [Fraction(0)], lam)
             assert got == want
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000),
@@ -159,15 +154,19 @@ class TestMvtResidual:
             mvt_residual(big, Fraction(1, 2))
 
     def test_numeric_symbolic_agreement(self):
-        # the expanded residual equals the residual evaluated directly, exactly
+        # the expanded residual's rows, evaluated at rational points, equal
+        # sympy's unexpanded residual evaluated there, exactly
         rng = random.Random(77)
-        p = poly_from_coeffs([_rand_fraction(rng) for _ in range(5)])
+        coeffs = [_rand_fraction(rng) for _ in range(5)]
         lam = Fraction(3, 10)
-        res = mvt_residual(p, lam)
-        dp = p.derivative()
+        res = mvt_residual(poly_from_coeffs(coeffs), lam)
+        direct = sympy_residual(coeffs, lam)
+        a_s, b_s = sympy.symbols("a b")
         for _ in range(20):
             a, b = _rand_fraction(rng), _rand_fraction(rng)
-            assert res.evaluate(a, b) == p(b) - p(a) - (b - a) * dp(lam * a + (1 - lam) * b)
+            got = sum((Fraction(n, d) * a**i * b**j for i, j, n, d in res.rows), Fraction(0))
+            want = sympy.Rational(direct.subs({a_s: a, b_s: b}))
+            assert got == Fraction(int(want.p), int(want.q)), (a, b)
 
 
 def _theorem_predicate(degree, lam):
@@ -202,11 +201,13 @@ class TestClassify:
         rng = random.Random(33)
         lam = Fraction(1, 2)
         for _ in range(20):
-            p = poly_from_coeffs([_rand_fraction(rng) for _ in range(3)])
-            q = poly_from_coeffs([_rand_fraction(rng) for _ in range(3)])
-            assert classify(p, lam).satisfies and classify(q, lam).satisfies
-            assert classify(p + q, lam).satisfies
-            assert classify(p.scale(_rand_fraction(rng)), lam).satisfies
+            p = [_rand_fraction(rng) for _ in range(3)]
+            q = [_rand_fraction(rng) for _ in range(3)]
+            assert classify(poly_from_coeffs(p), lam).satisfies
+            assert classify(poly_from_coeffs(q), lam).satisfies
+            assert classify(poly_from_coeffs([x + y for x, y in zip(p, q)]), lam).satisfies
+            factor = _rand_fraction(rng)
+            assert classify(poly_from_coeffs([c * factor for c in p]), lam).satisfies
 
 
 class TestLambdaFamily:
@@ -297,10 +298,6 @@ class TestBivariatePolynomial:
         terms = {(0, 2): Fraction(1), (1, 0): Fraction(1)}
         assert BivariatePolynomial.from_terms(terms).as_power_of_difference() is None
 
-    def test_exact_evaluation(self):
-        poly = BivariatePolynomial.from_terms({(1, 1): Fraction(1, 3)})
-        assert poly.evaluate(Fraction(3), Fraction(2)) == Fraction(2)
-
     def test_str_forms(self):
         assert str(BivariatePolynomial.from_terms({})) == "0"
         # x^4 at lambda = 1/2: no power of (b-a), so the general form
@@ -336,8 +333,6 @@ class TestBivariatePolynomial:
         assert poly.terms == {k: v for k, v in raw.items() if v != 0}
         assert all(type(v) is Fraction for v in poly.terms.values())
         assert BivariatePolynomial.from_terms(poly.terms) == poly
-        assert poly.coefficient(2, 0) == Fraction(-3, 2)
-        assert poly.coefficient(1, 0) == 0 and poly.coefficient(5, 5) == 0
         res = mvt_residual(poly_from_coeffs([1, -2, 3, 0, Fraction(5, 7)]), Fraction(2, 7))
         assert BivariatePolynomial.from_terms(res.terms).terms == res.terms
 

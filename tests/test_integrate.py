@@ -143,6 +143,28 @@ class TestBallGeometry:
         assert spec.dim == 2
 
 
+class TestCounts:
+    """samples and dim are integers (numpy ones too); any other value is a
+    ValueError naming the rule."""
+
+    def test_non_integer_samples(self):
+        with pytest.raises(ValueError, match="samples must be an integer, got 10000.5"):
+            mc_ball_average(expr.parse("x^2"), BallSpec((0.0, 0.0), 1.0), 10000.5, 1)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+    def test_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match=f"dimension must be an integer, got {dim!r}"):
+            BallSpec((0.0, 0.0), 1.0, dim)
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            expr.check_dimension(None, dim)
+
+    def test_numpy_integers_are_counts(self):
+        spec = BallSpec((0.0, 0.0), 1.0, np.int64(2))
+        assert spec == BallSpec((0.0, 0.0), 1.0, 2) and type(spec.dim) is int
+        g = expr.parse("x^2 + y")
+        assert mc_ball_average(g, spec, np.int64(1000), 1) == mc_ball_average(g, spec, 1000, 1)
+
+
 class TestSampleBall:
     def test_containment(self):
         spec = BallSpec((1.0, -2.0, 0.5), 0.75)

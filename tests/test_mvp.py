@@ -311,6 +311,31 @@ class TestTolerance:
         assert CHECKERS[checker](0.0).tolerance == 0.0
 
 
+class TestCounts:
+    """trials, points and samples are integers; any other value is a
+    ValueError naming the rule, as a count below its least is."""
+
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda: check_weighted_property(_X2, 0.5, 10.5, Interval(0, 1), 1),
+                     "trials must be an integer, got 10.5", id="weighted-trials"),
+        pytest.param(lambda: check_interval_mvp(_X2, 0.5, 10.5, Interval(0, 1), 1),
+                     "trials must be an integer, got 10.5", id="interval-trials"),
+        pytest.param(lambda: check_ball_mvp(_H2, _W, 2.5, BOX, 10000, 1, 2),
+                     "trials must be an integer, got 2.5", id="ball-trials"),
+        pytest.param(lambda: check_sphere_mvp(_H2, _W, 2, BOX, 10000.5, 1, 2),
+                     "samples must be an integer, got 10000.5", id="sphere-samples"),
+        pytest.param(lambda: check_harmonicity(_H2, 2, 3.5, BOX, 1),
+                     "points must be an integer, got 3.5", id="harmonicity-points"),
+        pytest.param(lambda: check_harmonicity(_H2, 2.0, 3, BOX, 1),
+                     "dimension must be an integer, got 2.0", id="harmonicity-dimension"),
+        pytest.param(lambda: check_v_constancy(expr.parse("x"), (0.0, 1.0), 2, 3.5, BOX, 1),
+                     "points must be an integer, got 3.5", id="v-constancy-points"),
+    ])
+    def test_non_integer_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestVerdict:
     G = expr.parse("x")
 

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import SMOOTH_CORPUS
 from mvlab import expr, mvroot
-from mvlab.mvroot import Interval, NoRootError, average_slope, find_abscissas, lambda_of
+from mvlab.mvroot import Interval, NoRootError, find_abscissas, lambda_of
 
 # closed-form oracles, frozen:
 #   exp on [0, 1]: f'(c) = e - 1  =>  c = ln(e - 1)
@@ -32,35 +33,33 @@ class TestInterval:
 
 
 class TestAverageSlope:
+    # the secant slope a scan pass takes, read from find_abscissas's result
     def test_secant_slope(self):
-        assert average_slope(expr.parse("x^2"), Interval(0, 2)) == 2.0
+        assert find_abscissas(expr.parse("x^2"), Interval(0, 2)).average_slope == 2.0
 
     def test_exponential(self):
-        got = average_slope(expr.parse("exp(x)"), Interval(0, 1))
+        got = find_abscissas(expr.parse("exp(x)"), Interval(0, 1)).average_slope
         assert got == pytest.approx(math.e - 1, rel=1e-15)
 
     def test_equal_endpoints(self):
-        assert average_slope(expr.parse("sin(x)"), Interval(0, math.pi)) == pytest.approx(
-            0.0, abs=1e-16
-        )
+        got = find_abscissas(expr.parse("sin(x)"), Interval(0, math.pi)).average_slope
+        assert got == pytest.approx(0.0, abs=1e-16)
 
     def test_overflowing_difference_is_domain_error(self):
         # f(-1) and f(1) are finite, f(1) - f(-1) = 2e308 is not: no slope,
         # and no degenerate "every point qualifies" result either
         f = expr.parse("1e308*x")
         with pytest.raises(expr.DomainError, match="non-finite secant slope"):
-            average_slope(f, Interval(-1.0, 1.0))
-        with pytest.raises(expr.DomainError, match="non-finite secant slope"):
             find_abscissas(f, Interval(-1.0, 1.0))
 
     @pytest.mark.parametrize("source,domain", SMOOTH_CORPUS)
     def test_is_the_scalar_secant_bit_for_bit(self, source, domain):
-        # the one-interval call of the array secant a scan pass takes
+        # the one-interval scan's array secant has the scalar formula's bits
         f, rng = expr.parse(source), random.Random(source)
         for _ in range(20):
             a, b = sorted(rng.uniform(*domain) for _ in range(2))
             want = (expr.evaluate(f, {"x": b}) - expr.evaluate(f, {"x": a})) / (b - a)
-            got = average_slope(f, Interval(a, b))
+            got = find_abscissas(f, Interval(a, b)).average_slope
             assert type(got) is float and got.hex() == want.hex(), (a, b)
 
 
@@ -172,6 +171,33 @@ class TestFindAbscissas:
             res = find_abscissas(f, Interval(a, b))
             assert len(res.abscissas) == 1
             assert abs(res.lambdas[0] - 0.5) <= 1e-10
+
+
+class TestCounts:
+    """grid and steps are integers (numpy ones too); any other value is a
+    ValueError naming the rule, not a TypeError from inside the scan."""
+
+    F = expr.parse("x^3")
+
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda f: find_abscissas(f, Interval(-1.0, 1.0), grid=2.5),
+                     "grid must be an integer, got 2.5", id="find-grid-2.5"),
+        pytest.param(lambda f: find_abscissas(f, Interval(-1.0, 1.0), grid=64.0),
+                     "grid must be an integer, got 64.0", id="find-grid-64.0"),
+        pytest.param(lambda f: mvroot.sweep_lambda(f, 0.5, 0.01, 0.1, 4.5),
+                     "steps must be an integer, got 4.5", id="sweep-steps-4.5"),
+        pytest.param(lambda f: mvroot.sweep_lambda(f, 0.5, 0.01, 0.1, 4, grid=3.5),
+                     "grid must be an integer, got 3.5", id="sweep-grid-3.5"),
+    ])
+    def test_non_integer_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(self.F)
+
+    def test_numpy_integers_are_counts(self):
+        iv = Interval(-1.0, 1.0)
+        assert find_abscissas(self.F, iv, grid=np.int64(64)) == find_abscissas(self.F, iv, grid=64)
+        got = mvroot.sweep_lambda(self.F, 0.5, 0.01, 0.1, np.int32(5), grid=np.int64(64))
+        assert got == mvroot.sweep_lambda(self.F, 0.5, 0.01, 0.1, 5, grid=64)
 
 
 class TestSweepLambda:
