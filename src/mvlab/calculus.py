@@ -26,11 +26,15 @@ exactly 0 rather than silently picking a subgradient.
 
 Every jet's value is checked with `expr._finite`; derivative parts are
 checked by the function that reads them, so an f'' that overflows fails no
-caller that reads f' (`derivatives_1d` returns f'' unchecked).  Jets reuse
-mvlab.expr's domain rules and its power rules: `expr._walk` picks constant
-or varying from the exponent's expression, `Jet2.__pow__` is the constant
-rule and x^y = exp(y log x) the varying one, so a float jet has the bits of
-its element in an array jet; only the derivative-only rules live here.
+caller that reads f' (`derivatives_1d` returns f'' unchecked).  A jet takes
+its value from mvlab.expr's rules (`_real_apply`, `_real_pow`, with their
+domain checks) and its power rule: `expr._walk` picks constant or varying
+from the exponent's expression, `Jet2.__pow__` is the constant rule and
+x^y = exp(y log x) the varying one, so a float jet has the bits of its
+element in an array jet.  Only derivative rules live here: u' and u'',
+where u' is undefined though u is not, and the stricter "fractional power
+of a non-positive base", each checked before expr's.  The dimension of a
+direction v has one rule, `_check_direction`, also for mvlab.mvp.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ _DERIVATIVES = {
     "abs": (lambda t, u: np.sign(t), lambda t, u, u1: 0.0),
 }
 
-# fn -> (where u' is undefined though u is not, message); log's is expr._check_log
+# fn -> (where u' is undefined though u is not, message), checked before
+# expr._real_apply's domain rule
 _NOT_DIFFERENTIABLE = {
     "sqrt": (lambda t: t <= 0, "sqrt of a non-positive argument (derivative undefined at 0)"),
     "abs": (lambda t: t == 0, "abs is not differentiable at 0"),
@@ -171,11 +176,9 @@ class Jet2:
     def apply(self, fn: str) -> "Jet2":
         """u(self) for the function u named `fn` (a member of expr.FUNCTIONS)."""
         t = self.f
-        if fn == "log":
-            expr._check_log(t)
-        elif fn in _NOT_DIFFERENTIABLE and _any(_NOT_DIFFERENTIABLE[fn][0](t)):
+        if fn in _NOT_DIFFERENTIABLE and _any(_NOT_DIFFERENTIABLE[fn][0](t)):
             raise _DomainViolation(_NOT_DIFFERENTIABLE[fn][1])
-        u = getattr(np, fn)(t)
+        u = expr._real_apply(fn, t)
         first, second = _DERIVATIVES[fn]
         u1 = first(t, u)
         return self._compose(u, u1, None if self.d2 is None else second(t, u, u1))
@@ -186,9 +189,8 @@ class Jet2:
         t = self.f
         if not p.is_integer() and _any(t <= 0):
             raise _DomainViolation("fractional power of a non-positive base")
-        expr._check_zero_power(t, p)
         return self._compose(
-            _power(t, p),
+            expr._real_pow(t, p),
             _pow_term(t, p, p - 1.0),
             None if self.d2 is None else _pow_term(t, p * (p - 1.0), p - 2.0),
         )
@@ -260,9 +262,7 @@ def _laplacian_pass(g: Node, coords: Sequence[Any]) -> tuple[Any, Any]:
 
 
 def _directional_pass(g: Node, coords: Sequence[Any], v: Sequence[float]) -> Any:
-    if len(v) != len(coords):
-        raise ValueError("direction and point dimensions differ")
-    direction = unit_vector(v)
+    direction = _check_direction(unit_vector(v), len(coords))
     expr.check_dimension(g, len(coords))
     return _finite(g, _seeded_pass(g, coords, direction, 1).d1)
 
@@ -274,6 +274,13 @@ def unit_vector(v: Sequence[float]) -> tuple[float, ...]:
     norm = math.sqrt(sum(c * c for c in v))
     if not (all(map(math.isfinite, v)) and abs(norm - 1.0) <= 1e-12):
         raise ValueError(f"v must be a finite unit vector, got {v}")
+    return v
+
+
+def _check_direction(v: tuple[float, ...], n: int) -> tuple[float, ...]:
+    # the one rule for the dimension of a direction, checked after `unit_vector`
+    if len(v) != n:
+        raise ValueError(f"v has dimension {len(v)}, need {n}")
     return v
 
 

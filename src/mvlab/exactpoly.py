@@ -50,6 +50,8 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Mapping, Union
 
+from . import expr
+
 __all__ = [
     "RationalPolynomial",
     "BivariatePolynomial",
@@ -69,13 +71,9 @@ MAX_DEGREE = 64  # bivariate expansion is O(d^2) terms; keep it desk-scale
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    if not isinstance(value, (Fraction, int, str)):  # a float is not exact
+        raise TypeError(f"not an exact rational: {value!r}")
+    return Fraction(value)
 
 
 class DigitLimitError(OverflowError):
@@ -302,6 +300,7 @@ def _iroot(n: int, k: int) -> int:
 
 
 def lambda_family(k: int) -> LambdaFamily:
+    k = expr._check_count(k, "k")
     if not 1 <= k <= 20:
         raise ValueError(f"k must be in 1..20, got {k}")
     # y = floor(2^B * (k+1)^(-1/k)) is the integer k-th root of 2^(B*k) // (k+1);

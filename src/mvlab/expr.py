@@ -22,9 +22,10 @@ Rules stated once here, for every caller: the tokens in `_TOKEN_RE`,
 the depth bound `MAX_DEPTH` in `_check_depth` (a parse error, so no walker
 nears Python's recursion limit), variable names in `_variable_index`
 (binding keys through `_bind`, which refuses two keys for one variable),
-a count (grid, steps, trials, points, samples, dimension) in
-`_check_count`, the dimension 1..10 in `check_dimension`, the real domain in
-`_real_divide`, `_real_pow` and `_real_apply` (also for jets), the power
+a count (grid, steps, trials, points, samples, panels, nodes, k, a draw's
+size, dimension) and the minimum it carries in `_check_count`, the
+dimension 1..10 in `check_dimension`, the real domain in `_real_divide`,
+`_real_pow` and `_real_apply` (also for a jet's value), the power
 rule in `_walk` (an exponent that uses no variable is a constant power,
 `_real_pow` or the jet's own, and any other a varying power,
 `_varying_pow`), and the error of a failing batched pass in
@@ -231,13 +232,17 @@ def variables(ast: Node) -> tuple[int, ...]:
     return ast._variables
 
 
-def _check_count(value: Any, what: str) -> int:
+def _check_count(value: Any, what: str, minimum: int | None = None) -> int:
     """`value` as an int, or a ValueError naming the rule when
-    `operator.index` refuses it (2.5, 2.0, "3"); numpy integers are counts."""
+    `operator.index` refuses it (2.5, 2.0, "3") or it is below `minimum`;
+    numpy integers are counts."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise ValueError(f"need {what} >= {minimum}")
+    return count
 
 
 def check_dimension(ast: Node | None, n: int) -> None:
@@ -510,16 +515,6 @@ def _any(mask: Any) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _check_log(v: Any) -> None:
-    if _any(v <= 0):
-        raise _DomainViolation("log of a non-positive argument")
-
-
-def _check_zero_power(base: Any, expo: Any) -> None:
-    if _any((base == 0) & (expo < 0)):
-        raise _DomainViolation("zero raised to a negative power")
-
-
 def _real_divide(lhs: Any, rhs: Any) -> Any:
     if _any(rhs == 0):
         raise _DomainViolation("division by zero")
@@ -550,7 +545,8 @@ def _power(base: Any, expo: float) -> Any:
 def _check_real_pow(base: Any, expo: Any) -> None:
     if _any((base < 0) & (expo % 1 != 0)):  # an infinite exponent is not an integer
         raise _DomainViolation("fractional power of a negative base")
-    _check_zero_power(base, expo)
+    if _any((base == 0) & (expo < 0)):
+        raise _DomainViolation("zero raised to a negative power")
 
 
 def _real_pow(base: Any, expo: float) -> Any:
@@ -577,9 +573,9 @@ def _apply(fn: str, v: Any) -> Any:
 
 
 def _real_apply(fn: str, v: Any) -> Any:
-    if fn == "log":
-        _check_log(v)
-    elif fn == "sqrt" and _any(v < 0):
+    if fn == "log" and _any(v <= 0):
+        raise _DomainViolation("log of a non-positive argument")
+    if fn == "sqrt" and _any(v < 0):
         raise _DomainViolation("sqrt of a negative argument")
     return getattr(np, fn)(v)  # an inf or NaN result is refused by eval_with
 

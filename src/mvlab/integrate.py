@@ -118,6 +118,7 @@ class CounterRng:
 
     def uniforms(self, count: int) -> np.ndarray:
         """`count` doubles uniform in [0, 1), consuming `count` counters."""
+        count = expr._check_count(count, "count", 0)
         out = np.empty(count)
         for j in range(0, count, _BLOCK):
             _fill_uniforms(self.seed, self.counter + j, out[j : j + _BLOCK])
@@ -232,8 +233,8 @@ def integrate_1d(f: Node, a: float, b: float, panels: int = 64, nodes: int = 16)
     DomainError.
     """
     mvroot.Interval(a, b)
-    if panels < 1 or nodes < 1:
-        raise ValueError("panels and nodes must be >= 1")
+    panels = expr._check_count(panels, "panels", 1)
+    nodes = expr._check_count(nodes, "nodes", 1)
     points, weights = _composite_rule(np.array([a]), np.array([b]), panels, nodes)
     # a constant integrand still binds x1 so eval_many returns an array
     values = expr.eval_many(f, expr._bind_univariate(f, points[0]))
@@ -340,6 +341,7 @@ def _unit_circle(x: np.ndarray) -> None:
 
 
 def _sample(spec: BallSpec, rng: CounterRng, count: int, on_sphere: bool) -> np.ndarray:
+    count = expr._check_count(count, "count", 0)
     out = np.empty((spec.dim, count))
     _fill_columns(spec, rng.seed, rng.counter, count, 0, out, on_sphere)
     rng.counter += _counters_used(count, spec.dim, on_sphere)
@@ -417,9 +419,7 @@ def _mc_average(
     g: Node, spec: BallSpec, samples: int, seed: int, on_sphere: bool
 ) -> McEstimate:
     expr.check_dimension(g, spec.dim)
-    samples = expr._check_count(samples, "samples")
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    samples = expr._check_count(samples, "samples", 1000)
     # blocks, and their halves, run in order, so a domain error names the
     # draw's first bad point
     size = min(samples, _EVAL_POINTS)

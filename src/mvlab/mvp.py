@@ -30,8 +30,10 @@ the first failing trial's, found in O(log n) passes.
 Each input rule is checked in one place: lambda in (0, 1) by
 `exactpoly._check_lambda`, the dimension by `expr.check_dimension`,
 ball radius and sphere rules in `integrate`, the box in `_as_box`, the
-tolerance in `mvroot._check_tol`, and the trial or point count, with every seeded
-instance draw, in `_draw`.
+tolerance in `mvroot._check_tol`, the dimension of v (after `WeightSpec`
+has checked it is a unit vector) in `calculus._check_direction`, and a
+count with its minimum (trials and points >= 1, samples >= 10000) in
+`expr._check_count`; every seeded instance draw is made in `_draw`.
 """
 
 from __future__ import annotations
@@ -146,9 +148,7 @@ def _verdict(
 
 def _draw(ranges: Sequence[tuple[float, float]], count: int, seed: int, what: str) -> np.ndarray:
     """`count` seeded points lo + u * (hi - lo) in the box `ranges`, one per row."""
-    count = expr._check_count(count, what)
-    if count < 1:
-        raise ValueError(f"need {what} >= 1")
+    count = expr._check_count(count, what, 1)
     k = len(ranges)
     lo, hi = np.array(ranges, dtype=float).T
     return lo + CounterRng(seed).uniforms(count * k).reshape(count, k) * (hi - lo)
@@ -300,9 +300,7 @@ def _require_direction(w: WeightSpec, n: int) -> tuple[float, ...]:
         if w.lam == 0.5:
             return tuple([1.0] + [0.0] * (n - 1))  # offset vanishes anyway
         raise ValueError("a direction v is required when lambda != 1/2")
-    if len(w.v) != n:
-        raise ValueError(f"v has dimension {len(w.v)}, need {n}")
-    return w.v
+    return calculus._check_direction(w.v, n)
 
 
 def _check_offset_average(
@@ -320,9 +318,7 @@ def _check_offset_average(
 ) -> PropertyVerdict:
     expr.check_dimension(g, n)
     mvroot._check_tol(tol)
-    samples = expr._check_count(samples, "samples")
-    if samples < 10_000:
-        raise ValueError("need samples >= 10000")
+    samples = expr._check_count(samples, "samples", 10_000)
     ranges = _as_box(box, n)
     v = _require_direction(w, n)
     h_lo, h_hi = radius_range

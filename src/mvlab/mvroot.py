@@ -111,10 +111,9 @@ def lambda_of(c: float, iv: Interval) -> float:
 
 
 # Lockstep bisection: one pass evaluates the next _LEVELS midpoints of every
-# open bracket (the 2^_LEVELS - 1 nodes of its bisection tree), and at most
-# _GROUP brackets share a pass, so a pass has at most 32,256 points
+# open bracket (the 2^_LEVELS - 1 nodes of its bisection tree), and as many
+# brackets share a pass as fit in integrate._EVAL_POINTS (520 of 63 nodes)
 _LEVELS = 6
-_GROUP = 512
 
 
 @dataclass(eq=False)
@@ -179,8 +178,9 @@ def _bisect(f: Node, brackets: list[_Bracket]) -> None:
     never evaluates: then the step is taken on the midpoints alone, and
     only a failing midpoint fails the bisection."""
     brackets = [b for b in brackets if b.root is None]
-    for first in range(0, len(brackets), _GROUP):
-        group = brackets[first : first + _GROUP]
+    per_pass = integrate._EVAL_POINTS // (2**_LEVELS - 1)
+    for first in range(0, len(brackets), per_pass):
+        group = brackets[first : first + per_pass]
         while group:
             tree = _bisection_tree(
                 np.array([b.lo for b in group]), np.array([b.hi for b in group]), _LEVELS
@@ -279,9 +279,7 @@ def _abscissas(
     brackets.  A failing scan or bisection is halved over its intervals
     (`expr.split_failures`), so an interval whose slope, scan or bisection
     fails, or that has no root, gives its own error in place of a result."""
-    grid = expr._check_count(grid, "grid")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    grid = expr._check_count(grid, "grid", 2)
     out: list = []
     per_block = max(1, integrate._EVAL_POINTS // (grid + 1))
     for first in range(0, len(ivs), per_block):
@@ -358,9 +356,7 @@ def sweep_lambda(
     _check_tol(tol)
     if not 0.0 < h_min < h_max:
         raise ValueError("need 0 < h_min < h_max")
-    steps = expr._check_count(steps, "steps")
-    if steps < 4:
-        raise ValueError("need steps >= 4")
+    steps = expr._check_count(steps, "steps", 4)
     if not math.isfinite(h_max / h_min):
         raise ValueError("h_max / h_min overflows: narrow [h_min, h_max]")
     ratio = (h_max / h_min) ** (1.0 / (steps - 1))

@@ -24,6 +24,10 @@ class TestJet3:
         with pytest.raises(expr._DomainViolation):
             Jet2.variable(1.0) / Jet2.constant(0.0)
 
+    def test_operand_must_be_jet_or_real(self):
+        with pytest.raises(TypeError, match="a jet operand must be a jet or a real, not str"):
+            Jet2.variable(1.0) + "a"
+
     def test_reciprocal_derivatives(self):
         # 1/x at 2: -1/4, 2/8
         j = 1.0 / Jet2.variable(2.0)
@@ -417,6 +421,10 @@ class TestDirectionalDerivative:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit vector"):
             calculus.directional_derivative(expr.parse("x"), (0.0, 0.0), (1.0, 1.0))
+
+    def test_direction_dimension(self):
+        with pytest.raises(ValueError, match="v has dimension 3, need 2"):
+            calculus.directional_derivative(expr.parse("x"), (0.0, 0.0), (1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("v", [(math.nan, 1.0), (1.0, math.nan)])
     def test_non_finite_direction_rejected(self, v):

@@ -486,6 +486,7 @@ def _rule_cases():
         yield case("count", command, "--points", "0", "need points >= 1")
         yield case("bound", command, "--points", "100001", "must be at most 100000")
     for command in ("abscissa", "sweep"):
+        yield case("count", command, "--grid", "1", "need grid >= 2")
         yield case("bound", command, "--grid", "1000001", "must be at most 1000000")
     yield case("bound", "sweep", "--steps", "1001", "must be at most 1000")
     yield case("ratio", "sweep", "--hmax", "1e306", "h_max / h_min overflows")
@@ -507,6 +508,7 @@ def _rule_cases():
         yield case("direction", command, "--v", "1,0,0", "v has dimension 3, need 2")
         yield case("radius", command, "--hmin", "0", "invalid radius range (0.0, 1.0)")
         yield case("radius", command, "--hmax", "0.1", "invalid radius range (0.2, 0.1)")
+    yield case("direction", "vderiv", "--v", "1,0,0", "v has dimension 3, need 1")
     for command in ("laplacian", "vderiv"):
         yield case("point", command, "--at", "1,2", "--at needs 1 coordinates")
     for name, message in (("harmonic2d_7", "harmonic2d_k supports k in 0..6, got 7"),

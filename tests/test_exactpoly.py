@@ -93,6 +93,12 @@ class TestPolyFromCoeffs:
         with pytest.raises(ValueError):
             poly_from_coeffs([])
 
+    def test_float_is_not_exact(self):
+        with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+            exactpoly._as_fraction(0.5)
+        with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+            poly_from_coeffs([1, 0.5])
+
 
 class TestMvtResidual:
     def test_random_quadratics_vanish_at_half(self):
@@ -211,6 +217,17 @@ class TestClassify:
 
 
 class TestLambdaFamily:
+    @pytest.mark.parametrize("k", [2.5, 2.0])
+    def test_non_integer_k(self, k):
+        # used to raise "unsupported operand type(s) for <<" from the root
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            lambda_family(k)
+
+    @pytest.mark.parametrize("k", [0, 21])
+    def test_k_range(self, k):
+        with pytest.raises(ValueError, match=f"k must be in 1..20, got {k}"):
+            lambda_family(k)
+
     def test_residuals_below_threshold(self):
         for k in range(1, 21):
             assert lambda_family(k).residual_check <= 1e-12, k

@@ -111,6 +111,19 @@ class TestParse:
         with pytest.raises(ParseError):
             expr.parse("1 + 2 )")
 
+    @pytest.mark.parametrize("source,message,offset", [
+        ("(x", "unclosed parenthesis", 0),
+        ("", "unexpected end of input", 0),
+        ("x +", "unexpected end of input", 3),
+        ("x + )", "unexpected ')'", 4),
+        ("*x", "unexpected '*'", 0),
+    ])
+    def test_malformed_input_names_its_offset(self, source, message, offset):
+        with pytest.raises(ParseError) as err:
+            expr.parse(source)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
+
 
 def _levels(node):
     children = [getattr(node, f) for f in ("operand", "left", "right", "arg") if hasattr(node, f)]
@@ -328,6 +341,10 @@ class TestPrintCanonical:
 
     def test_literal(self):
         assert expr.print_canonical(Num(0.5)) == "0.5"
+
+    def test_non_finite_literal_is_refused(self):
+        with pytest.raises(ValueError, match="non-finite literal inf cannot be printed"):
+            expr.print_canonical(Num(math.inf))
 
     def test_negation(self):
         assert expr.print_canonical(Neg(Var(1))) == "(-x1)"

@@ -6,10 +6,11 @@ whose sample count spans 17 Monte Carlo evaluation blocks, so their bits
 depend on the block size and the left-to-right moment merge, one
 `poly-verify` whose residual is no power of (b-a) (mixed signs over three
 total degrees print the general form, its term order and its "+ -"
-folding), three sweeps that split their grid scans into blocks
-differently, five commands whose intermediate overflows are never read
-(CI replays the table with RuntimeWarnings as errors), and six commands
-whose batched pass fails and is halved down to its first failure, and
+folding) and one of the zero polynomial, three sweeps that split their
+grid scans into blocks differently, five commands whose intermediate
+overflows are never read (CI replays the table with RuntimeWarnings as
+errors), and six commands whose batched pass fails and is halved down to
+its first failure, and
 `test_cli.REFUSED`: three expressions nested too deep to parse and two
 varying powers at one non-positive base.
 After an intended output change, regenerate with
@@ -43,6 +44,9 @@ MULTI_BLOCK = [
 ]
 
 GENERAL_RESIDUAL = [["poly-verify", "--coeffs", "1,-2,3,0,5/7,-1/3", "--lambda", "2/7"]]
+
+# the zero polynomial: no degree, and polynomial and residual print "0"
+ZERO_POLYNOMIAL = [["poly-verify", "--coeffs", "0", "--lambda", "1/2"]]
 
 # sweeps scan a block of up to 31 grids of 1025 points per pass: 40 steps
 # span two blocks, the log(x) sweep's last interval fails, and a 40,000-cell
@@ -96,8 +100,8 @@ FAILING_STDERR = [
     "mvlab: numeric failure: non-finite secant slope in '(1.7e+308*sin(x1))'\n",
     "",
 ]
-GOLDEN_ARGVS = (_CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + SWEEP_BLOCKS + QUIET_OVERFLOWS
-                + FAILING_PASSES + [argv for argv, _, _ in REFUSED])
+GOLDEN_ARGVS = (_CLI_COMMANDS + MULTI_BLOCK + GENERAL_RESIDUAL + ZERO_POLYNOMIAL + SWEEP_BLOCKS
+                + QUIET_OVERFLOWS + FAILING_PASSES + [argv for argv, _, _ in REFUSED])
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=shlex.join)

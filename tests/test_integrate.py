@@ -142,9 +142,14 @@ class TestBallGeometry:
         spec = BallSpec((1.0, 2.0), 0.5)
         assert spec.dim == 2
 
+    def test_center_length_must_match_dim(self):
+        with pytest.raises(ValueError, match="center length does not match dim"):
+            BallSpec((0.0, 0.0), 1.0, 3)
+
 
 class TestCounts:
-    """samples and dim are integers (numpy ones too); any other value is a
+    """samples, dim, panels, nodes and a draw's count are integers (numpy
+    ones too) no smaller than their minimum; any other value is a
     ValueError naming the rule."""
 
     def test_non_integer_samples(self):
@@ -157,6 +162,38 @@ class TestCounts:
             BallSpec((0.0, 0.0), 1.0, dim)
         with pytest.raises(ValueError, match="dimension must be an integer"):
             expr.check_dimension(None, dim)
+
+    def test_samples_below_minimum(self):
+        with pytest.raises(ValueError, match="need samples >= 1000"):
+            mc_ball_average(expr.parse("x^2"), BallSpec((0.0, 0.0), 1.0), 999, 1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"panels": 2.5}, "panels must be an integer, got 2.5"),
+        ({"nodes": 3.5}, "nodes must be an integer, got 3.5"),
+        ({"panels": 0}, "need panels >= 1"),
+        ({"nodes": 0}, "need nodes >= 1"),
+    ])
+    def test_quadrature_counts(self, kwargs, message):
+        # a float used to raise a TypeError from inside the rule's set-up
+        with pytest.raises(ValueError, match=message):
+            integrate_1d(expr.parse("x"), 0.0, 1.0, **kwargs)
+
+    @pytest.mark.parametrize("draw", [
+        lambda count: CounterRng(1).uniforms(count),
+        lambda count: sample_ball_many(BallSpec((0.0, 0.0), 1.0), CounterRng(1), count),
+        lambda count: sample_sphere_many(BallSpec((0.0, 0.0), 1.0), CounterRng(1), count),
+    ], ids=["uniforms", "ball", "sphere"])
+    @pytest.mark.parametrize("count,message", [
+        (2.5, "count must be an integer, got 2.5"),
+        (-3, "need count >= 0"),
+    ])
+    def test_draw_counts(self, draw, count, message):
+        with pytest.raises(ValueError, match=message):
+            draw(count)
+
+    def test_empty_draw(self):
+        assert CounterRng(1).uniforms(0).shape == (0,)
+        assert sample_ball_many(BallSpec((0.0, 0.0), 1.0), CounterRng(1), 0).shape == (0, 2)
 
     def test_numpy_integers_are_counts(self):
         spec = BallSpec((0.0, 0.0), 1.0, np.int64(2))

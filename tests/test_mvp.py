@@ -150,6 +150,12 @@ class TestCheckIntervalMvp:
                 assert vw.holds == vi.holds, (source, lam)
                 assert abs(vw.worst_residual - vi.worst_residual) <= 1e-6
 
+    @pytest.mark.parametrize("checker", [check_weighted_property, check_interval_mvp])
+    def test_trial_interval_that_rounds_shut(self, checker):
+        # at 1e16 a double's spacing is 2, so a trial of width >= 0.08 can round to one point
+        with pytest.raises(ValueError, match="need a < b"):
+            checker(expr.parse("x^2"), 0.5, 10, Interval(1e16, 1e16 + 8.0), 1)
+
 
 class TestBallSphereCheckers:
     def test_coordinate_field_holds_weighted(self):
@@ -277,6 +283,11 @@ class TestVConstancy:
         v = check_v_constancy(expr.parse("x^2 - y^2"), (s, s), 2, 50, BOX, 2)
         assert not v.holds
 
+    def test_direction_dimension(self):
+        # the ball and sphere checks' message, from the one direction rule
+        with pytest.raises(ValueError, match="v has dimension 3, need 2"):
+            check_v_constancy(expr.parse("x"), (1.0, 0.0, 0.0), 2, 5, BOX, 2)
+
 
 _W = WeightSpec(0.5)
 _X2 = expr.parse("x^2")  # the midpoint property holds exactly
@@ -371,6 +382,10 @@ class TestBuiltins:
 
     def test_harmonic2d_3(self):
         assert builtin_fields("harmonic2d_3", 2) == expr.parse("x^3 - 3*x*y^2")
+
+    def test_harmonic2d_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="harmonic2d_k needs dimension >= 2"):
+            builtin_fields("harmonic2d_2", 1)
 
     def test_vconst_harmonic_ignores_third_axis(self):
         g = builtin_fields("vconst_harmonic", 3)

@@ -193,6 +193,10 @@ class TestCounts:
         with pytest.raises(ValueError, match=message):
             call(self.F)
 
+    def test_grid_below_minimum(self):
+        with pytest.raises(ValueError, match="need grid >= 2"):
+            find_abscissas(self.F, Interval(-1.0, 1.0), grid=1)
+
     def test_numpy_integers_are_counts(self):
         iv = Interval(-1.0, 1.0)
         assert find_abscissas(self.F, iv, grid=np.int64(64)) == find_abscissas(self.F, iv, grid=64)
