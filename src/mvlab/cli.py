@@ -8,10 +8,15 @@ payload and whether the property holds, and `main` alone encodes, writes
 and picks the exit code.  Float flags must be finite, so no flag value
 can put NaN or Infinity into the JSON.
 
-`build_parser` builds the argparse tree once per process, and `main`
-reuses it.  Handlers look up their checker in `mvp` by name at call
-time, so a wrapper installed on `mvp` later (a profiler or tracer) still
-sees every CLI call.
+`build_parser` builds the argparse tree once per process.  When the
+first word is a subcommand name, `main` parses the rest with that
+subcommand's parser alone, so each word is read once; every other argv
+(none, `-h`, an unknown command) goes through the whole tree.  Both
+paths give the same namespace, output, stderr and exit code.  `main`
+writes a payload with `_json_text`, whose bytes are those of
+`json.dumps(payload, indent=2, allow_nan=False)`.  Handlers look up
+their checker in `mvp` by name at call time, so a wrapper installed on
+`mvp` later (a profiler or tracer) still sees every CLI call.
 
 Exit codes: 0 = property holds / computation succeeded, 1 = property
 violated (counterexamples in the output), 2 = usage or expression parse
@@ -299,12 +304,17 @@ def _subparser(sub, name: str, text: str) -> argparse.ArgumentParser:
     return sub.add_parser(name, help=text, description=text, parents=[_OUT])
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser: built on the first call, then reused.
 
     Every caller shares it, so none may add to or change it.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand name -> parser map."""
     parser = argparse.ArgumentParser(
         prog="mvlab",
         description=(
@@ -435,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(handler=_cmd_builtins)
 
-    return parser
+    return parser, sub.choices
 
 
 _DETACHED_LIST = re.compile(r"-[^-].*,")  # '-1,2', '-inf,1'; never an option
@@ -455,10 +465,77 @@ def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), reading the words after a subcommand name once."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    # as the subcommand action does inside parser.parse_args, whose own
+    # pass over the words hands every one after the name to this parser
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_text(payload: Any) -> str:
+    """json.dumps(payload, indent=2, allow_nan=False), byte for byte, for
+    payloads of str-keyed dicts, lists, tuples, str, int, float, bool and
+    None.  json's own encoder is pure Python whenever `indent` is set."""
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value: Any, out: list[str], newline: str) -> None:
+    # `newline` is the line break and indentation before a line at value's level
+    if isinstance(value, str):
+        out.append(_ENCODE_STR(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():  # a key that is no str is a TypeError
+            out.append(f"{separator}{_ENCODE_STR(key)}: ")
+            _write_json(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
@@ -472,8 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mvlab: error: {message}", file=sys.stderr)
         return _EXIT_USAGE
     try:  # RFC 8259 has no NaN or Infinity
-        text = payload if isinstance(payload, str) else json.dumps(
-            payload, indent=2, allow_nan=False) + "\n"
+        text = payload if isinstance(payload, str) else _json_text(payload) + "\n"
     except ValueError:
         print("mvlab: numeric failure: non-finite number in the output", file=sys.stderr)
         return _EXIT_NUMERIC

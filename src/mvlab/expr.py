@@ -42,7 +42,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -273,8 +273,9 @@ def _bind_univariate(ast: Node, value: Any) -> dict[int, Any]:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme: a named tuple, the cheapest record to build once per token."""
+
     kind: str  # num | ident | op | lparen | rparen | comma | end
     text: str
     offset: int

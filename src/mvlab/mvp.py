@@ -30,9 +30,10 @@ the first failing trial's, found in O(log n) passes.
 Each input rule is checked in one place: lambda in (0, 1) by
 `exactpoly._check_lambda`, the dimension by `expr.check_dimension`,
 ball radius and sphere rules in `integrate`, the box in `_as_box`, the
-tolerance in `mvroot._check_tol`, the dimension of v (after `WeightSpec`
-has checked it is a unit vector) in `calculus._check_direction`, and a
-count with its minimum (trials and points >= 1, samples >= 10000) in
+tolerance in `mvroot._check_tol`, the dimension of v (after `WeightSpec`,
+or `check_v_constancy` before it draws a point, has checked it is a
+unit vector) in `calculus._check_direction`, and a count with its
+minimum (trials and points >= 1, samples >= 10000) in
 `expr._check_count`; every seeded instance draw is made in `_draw`.
 """
 
@@ -424,6 +425,7 @@ def check_v_constancy(
     random points of `box`?"""
     expr.check_dimension(g, n)
     mvroot._check_tol(tol)
+    v = calculus._check_direction(calculus.unit_vector(v), n)
     pts = _sample_points(box, n, points, seed)
     derivs = calculus.directional_derivative_many(g, pts, v)
     return _verdict(

@@ -1,9 +1,14 @@
 import json
 import math
+import pathlib
+import shlex
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvlab import cli, exactpoly
 
@@ -579,6 +584,89 @@ class TestOneParser:
         assert json.loads(out)["property"] == "weighted-mean-value(lambda=0.25)"
         out = run(capsys, "check-midpoint", *interval)[1]
         assert json.loads(out)["property"] == "weighted-mean-value(lambda=0.5)"
+
+
+_GOLDEN_KEYS = json.loads(
+    pathlib.Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+
+# usage errors and help pages, besides every golden and acceptance argv
+_DISPATCH_ERRORS = [
+    [],
+    ["-h"],
+    ["no-such-command", "--fn", "x"],
+    ["parse", "-h"],
+    ["parse"],
+    ["abscissa", "--fn", "x^2", "--a", "0"],
+    ["abscissa", "--fn", "x^2", "--a", "zero", "--b", "1"],
+    ["parse", "--fn", "x", "--no-such-flag"],
+    ["parse", "--fn", "x", "extra", "words"],
+    ["parse", "--fn", "x", "--", "--fn", "y"],
+    ["check-weighted", "--fn", "x^2", "--lambda", "1/3", "--a", "0", "--b", "1", "--tri", "5"],
+    ["ball-check", "--fn", "x", "--dim", "2", "--lambda", "1/2", "--h", "1"],
+    ["parse", "--fn", "x", "--fn", "y^2"],
+    ["parse", "--fn", "x", "--out"],
+    ["-h", "parse", "--fn", "x"],
+]
+
+
+class TestDispatch:
+    """A subcommand name as the first word skips the top-level parser's pass
+    over the words; every argv still gets the whole tree's exit code, stdout
+    and stderr."""
+
+    @staticmethod
+    def through_the_tree(capsys, monkeypatch, argv):
+        parser = cli.build_parser()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parsers", lambda: (parser, {}))
+            return run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", _DISPATCH_ERRORS + [shlex.split(key) for key in _GOLDEN_KEYS],
+                             ids=shlex.join)
+    def test_same_as_the_whole_tree(self, capsys, monkeypatch, argv):
+        assert run(capsys, *argv) == self.through_the_tree(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--fn", "x", "--no-such-flag"],
+        ["no-such-command"],
+        ["parse", "--fn", "x^2 + 3*x"],
+    ], ids=shlex.join)
+    def test_argv_from_sys(self, capsys, monkeypatch, argv):
+        want = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["mvlab", *argv])
+        assert (cli.main(None), *capsys.readouterr()) == want
+
+
+# leaves of every type a payload holds; text covers non-ASCII and control characters
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64) | st.text()
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+), max_leaves=40)
+
+
+class TestJsonText:
+    @given(_JSON_VALUES)
+    @example({"": [], "a": {}, "b": (), "c": [[[]]], "d": {"e": {"f": ()}}})
+    @example([-0.0, 0.0, np.float64(-0.0), np.float64(1e300), 5e-324, 10**100, -(10**100)])
+    @example({"\u00e9\u2028\x00\x1f\"\\/": "\ud83d\ude00 \t\n\x7f", "k": (True, False, None)})
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_of_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, math.nan, np.float64("nan"), np.float64("-inf"),
+        {"rows": [{"h": 0.5, "c": (1.0, math.inf)}]},
+    ], ids=repr)
+    def test_non_finite_is_a_value_error(self, value):
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            cli._json_text(value)
 
 
 class TestInputRanges:

@@ -288,6 +288,23 @@ class TestVConstancy:
         with pytest.raises(ValueError, match="v has dimension 3, need 2"):
             check_v_constancy(expr.parse("x"), (1.0, 0.0, 0.0), 2, 5, BOX, 2)
 
+    @pytest.mark.parametrize("v,message", [
+        ((1.0, 0.0, 0.0), "v has dimension 3, need 2"),
+        ((2.0, 0.0), r"v must be a finite unit vector, got \(2.0, 0.0\)"),
+    ])
+    def test_direction_checked_before_any_point(self, monkeypatch, v, message):
+        # as in the ball and sphere checks: v is refused before a bad box or
+        # count, and before the points are drawn
+        def no_draw(*args):
+            raise AssertionError("points drawn before v was checked")
+        with pytest.raises(ValueError, match=message):
+            check_v_constancy(expr.parse("x"), v, 2, 5, [(0.0, 1.0)], 2)
+        with pytest.raises(ValueError, match=message):
+            check_v_constancy(expr.parse("x"), v, 2, 0, BOX, 2)
+        monkeypatch.setattr(mvp, "_sample_points", no_draw)
+        with pytest.raises(ValueError, match=message):
+            check_v_constancy(expr.parse("x"), v, 2, 100_000, BOX, 2)
+
 
 _W = WeightSpec(0.5)
 _X2 = expr.parse("x^2")  # the midpoint property holds exactly
